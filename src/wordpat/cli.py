@@ -44,6 +44,17 @@ def _word(text: str):
         raise UsageError(str(exc)) from None
 
 
+def _positive(text: str) -> int:
+    """argparse type for the --n and --k parameters, which must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _guard(args: argparse.Namespace, default: int) -> int:
     if getattr(args, "guard", None) is not None:
         return args.guard
@@ -201,24 +212,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_algebra)
 
     sp = sub.add_parser("construct", help="print a construction part")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--n", type=_positive, required=True)
+    sp.add_argument("--k", type=_positive, default=1)
     sp.add_argument(
         "--part", choices=["p", "t", "r", "rprime", "q", "s"], default="s"
     )
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("verify", help="check the constructed word's guarantees")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--n", type=_positive, required=True)
+    sp.add_argument("--k", type=_positive, default=1)
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     _add_guard(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("witness", help="extract a guaranteed pattern occurrence")
     sp.add_argument("word", help="host word, or - to read it from stdin")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--n", type=_positive, required=True)
+    sp.add_argument("--k", type=_positive, default=1)
     sp.add_argument("--trace", action="store_true", help="print the replayable trace")
     sp.set_defaults(func=cmd_witness)
 
@@ -244,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     op.set_defaults(func=cmd_oracle_max_repeats)
 
     op = osub.add_parser("balanced-check", help="confirm balanced unavoidability")
-    op.add_argument("--n", type=int, required=True)
-    op.add_argument("--k", type=int, required=True)
+    op.add_argument("--n", type=_positive, required=True)
+    op.add_argument("--k", type=_positive, required=True)
     _add_guard(op)
     op.set_defaults(func=cmd_oracle_balanced_check)
 

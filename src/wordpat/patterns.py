@@ -6,25 +6,37 @@ reverse, and the four concatenations of two strictly monotone runs over
 the same n+1 values.  The balanced-word family swaps the constant for
 multiplied staircases 0^(k+1)...n^(k+1).
 
-The checkers run in polynomial time by reducing every direction choice
-to one of two chain searches over per-value occurrence lists:
+A double run is a chain of values v_0 < ... < v_n, each with a position
+p_t in the first run and q_t in the second.  Reversing a run is the same
+search on the value-complemented host, so two shapes remain:
 
-* both runs ascending: pick the lowest value's position pair as a pivot
-  (its second position bounds every first-block position from above),
-  then grow a chain over higher values keeping the Pareto-minimal
-  (last first-block position, last second-block position) states;
-* first run descending, second ascending: the two positions of each
-  value form an interval, and a valid occurrence is a chain of
-  intervals nested outward as the value grows.
+* nested (rev,id): p_n < ... < p_0 < q_0 < ... < q_n, intervals nested
+  outward as the value grows.  The innermost interval may be taken
+  between two adjacent occurrences of v_0, since any interval of v_0
+  contains such a pair.  Extending an outermost interval (P, Q) by v
+  needs only the largest p < P and smallest q > Q: a wider choice is a
+  worse start for every later value.
+* ascending (id,id): p_0 < ... < p_n < q_0 < ... < q_n.  The lowest
+  value's pair (p_0, q_0) is a pivot that caps every later first-run
+  position below q_0.  p_0 may be v_0's first occurrence, since an
+  earlier start only widens the window, so v_0 with m occurrences gives
+  m-1 pivots.  Per pivot, each value above v_0 that occurs inside the
+  window and after q_0 extends a chain by its next positions after the
+  chain's last (p, q).
 
-Reversing one or both runs is the same search on the value-complemented
-host, which leaves positions untouched.
+Both shapes keep, per chain length, the Pareto-minimal states in two
+keys that grow along a chain, (p, q) or (-p, q): a state no smaller than
+another in either key finishes only chains the other finishes too.  Such
+a front is an antichain sorted by its first key with the second falling,
+so the dominance test is one bisection and the insert one slice
+assignment, and of the states whose next first key is the same only the
+last, which has the least second key, needs extending.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .words import Occurrence, Word, occurrences_by_value
@@ -207,115 +219,100 @@ def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence |
     w = tuple(w)
     if len(w) < 2 * (n + 1):
         return None
-    if e1 is Direction.ID and e2 is Direction.ID:
-        return _double_run_both_ascending(w, n)
-    if e1 is Direction.REV and e2 is Direction.REV:
-        return _double_run_both_ascending(_complement(w), n)
-    if e1 is Direction.REV and e2 is Direction.ID:
-        return _double_run_nested(w, n)
-    return _double_run_nested(_complement(w), n)
+    if e1 is e2:
+        return _double_run_ascending(w if e1 is Direction.ID else _complement(w), n)
+    return _double_run_nested(w if e1 is Direction.REV else _complement(w), n)
 
 
-def _pareto_insert_min(front: list, p: int, q: int, trail) -> None:
-    # Keep states minimal in both coordinates.
-    for P, Q, _ in front:
-        if P <= p and Q <= q:
-            return
-    front[:] = [(P, Q, t) for P, Q, t in front if not (p <= P and q <= Q)]
-    front.append((p, q, trail))
+def _pareto_insert(front: list, state: tuple) -> None:
+    # front: antichain of (a, b, parent) states minimal in (a, b), sorted
+    # by a and so with b falling.  front[:j] holds the states with A <= a,
+    # the last of them with the least B; from front[i] on, the newcomer
+    # dominates every state while B >= b.
+    a, b = state[0], state[1]
+    j = bisect_left(front, (a + 1,))
+    if j and front[j - 1][1] <= b:
+        return
+    i = k = bisect_left(front, (a,), 0, j)
+    while k < len(front) and front[k][1] >= b:
+        k += 1
+    front[i:k] = [state]
 
 
-def _double_run_both_ascending(w: Word, n: int) -> Occurrence | None:
-    # Occurrence shape: positions p_0 < ... < p_n < q_0 < ... < q_n with
-    # w[p_t] = w[q_t] = v_t and v_0 < ... < v_n.  The lowest value's pair
-    # (p_0, q_0) is the pivot: every later first-block position must fall
-    # inside (p_0, q_0) and every later second-block position after the
-    # previous one.  Greedy take-all is not sound (a low value with late
-    # positions can block better chains), so per chain length we keep the
-    # Pareto-minimal (last_p, last_q) states.
-    occ = occurrences_by_value(w)
-    values = sorted(occ)
-    for vi, v0 in enumerate(values):
-        if len(values) - vi < n + 1:
-            break
-        ps0 = occ[v0]
-        if len(ps0) < 2:
+def _grow(fronts: list, firsts: list, seconds: list) -> list | None:
+    """Extend the chains in ``fronts`` (``fronts[L]`` over L+1 values) by a
+    value with sorted keys ``firsts`` and ``seconds`` in the two runs.
+    Returns the (first, second) keys of the first chain over
+    ``len(fronts) + 1`` values, its last value first, else None."""
+    top = len(fronts) - 1
+    # Longest first, so that no chain uses the new value twice.
+    for length in range(top, -1, -1):
+        front = fronts[length]
+        if not front:
             continue
-        for ai in range(len(ps0) - 1):
-            for bi in range(ai + 1, len(ps0)):
-                found = _chain_both_ascending(w, occ, n, v0, ps0[ai], ps0[bi])
-                if found is not None:
-                    return found
+        last = -1
+        for f in firsts:
+            # Of the states whose next first key is f, the last one has
+            # the least second key; the others would grow dominated.
+            at = bisect_left(front, (f,)) - 1
+            if at == last:
+                continue
+            last = at
+            state = front[at]
+            j = bisect_right(seconds, state[1])
+            if j == len(seconds):
+                continue
+            grown = (f, seconds[j], state)
+            if length < top:
+                _pareto_insert(fronts[length + 1], grown)
+                continue
+            keys = []
+            while grown is not None:
+                keys.append(grown[:2])
+                grown = grown[2]
+            return keys
     return None
 
 
-def _chain_both_ascending(
-    w: Word, occ: dict, n: int, v0: int, p0: int, q0: int
-) -> Occurrence | None:
-    if n == 0:
-        return (p0, q0)
-    window_values = sorted({w[x - 1] for x in range(p0 + 1, q0) if w[x - 1] > v0})
-    if len(window_values) < n:
-        return None
-    fronts: list[list] = [[] for _ in range(n + 1)]
-    fronts[0] = [(p0, q0, ())]
-    for v in window_values:
-        ps = occ[v]
-        new = []
-        for length in range(n, 0, -1):
-            for P, Q, trail in fronts[length - 1]:
-                i = bisect_right(ps, P)
-                if i >= len(ps) or ps[i] >= q0:
-                    continue
-                j = bisect_right(ps, Q)
-                if j >= len(ps):
-                    continue
-                new.append((length, ps[i], ps[j], trail + ((ps[i], ps[j]),)))
-        for length, p, q, trail in new:
-            if length == n:
-                firsts = (p0,) + tuple(pp for pp, _ in trail)
-                seconds = (q0,) + tuple(qq for _, qq in trail)
-                return firsts + seconds
-            _pareto_insert_min(fronts[length], p, q, trail)
+def _double_run_ascending(w: Word, n: int) -> Occurrence | None:
+    occ = occurrences_by_value(w)
+    values = sorted(occ)
+    for v0 in values[: len(values) - n]:
+        ps0 = occ[v0]
+        p0 = ps0[0]
+        inside: set[int] = set()
+        for q_prev, q0 in zip(ps0, ps0[1:]):
+            if n == 0:
+                return (p0, q0)
+            inside.update(w[q_prev - 1 : q0 - 1])
+            window = sorted(v for v in inside if v > v0 and occ[v][-1] > q0)
+            if len(window) < n:
+                continue
+            fronts = [[(p0, q0, None)]] + [[] for _ in range(n - 1)]
+            for v in window:
+                ps = occ[v]
+                keys = _grow(fronts, ps[: bisect_left(ps, q0)], ps)
+                if keys is not None:
+                    keys.reverse()
+                    return tuple(p for p, _ in keys) + tuple(q for _, q in keys)
     return None
 
 
 def _double_run_nested(w: Word, n: int) -> Occurrence | None:
-    # Occurrence shape (first run descending, second ascending):
-    # p_n < ... < p_0 < q_0 < ... < q_n with w[p_t] = w[q_t] = v_t and
-    # v_0 < ... < v_n, i.e. a chain of position intervals (p, q) nested
-    # outward as the value grows.  States per chain length keep the
-    # outermost interval, preferring a late start and an early end.
     occ = occurrences_by_value(w)
-    target = n + 1
-    fronts: list[list] = [[] for _ in range(target + 1)]
+    fronts: list[list] = [[] for _ in range(n)]
     for v in sorted(occ):
         ps = occ[v]
-        pairs = [(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :]]
-        if not pairs:
+        if len(ps) < 2:
             continue
-        new = [(1, p, q, ((p, q),)) for p, q in pairs]
-        for length in range(target, 1, -1):
-            for P, Q, trail in fronts[length - 1]:
-                for p, q in pairs:
-                    if p < P and q > Q:
-                        new.append((length, p, q, trail + ((p, q),)))
-        for length, p, q, trail in new:
-            if length == target:
-                firsts = tuple(pp for pp, _ in reversed(trail))
-                seconds = tuple(qq for _, qq in trail)
-                return firsts + seconds
-            # Prefer large p (late start) and small q (early end).
-            dominated = False
-            for P, Q, _ in fronts[length]:
-                if P >= p and Q <= q:
-                    dominated = True
-                    break
-            if not dominated:
-                fronts[length] = [
-                    (P, Q, t) for P, Q, t in fronts[length] if not (p >= P and q <= Q)
-                ]
-                fronts[length].append((p, q, trail))
+        if n == 0:
+            return (ps[0], ps[1])
+        # The last occurrence cannot open a run, nor the first close one.
+        keys = _grow(fronts, [-p for p in reversed(ps[:-1])], ps[1:])
+        if keys is not None:
+            return tuple(-p for p, _ in keys) + tuple(q for _, q in reversed(keys))
+        for p, q in zip(ps, ps[1:]):
+            _pareto_insert(fronts[0], (-p, q, None))
     return None
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 from .monotone import NONDECREASING, es_extract
 from .patterns import Direction, FamilyId, contains_constant, base_pattern
 from .words import (
+    InvalidOccurrence,
     Occurrence,
     Word,
     occurrences_by_value,
@@ -217,7 +218,7 @@ def validate_trace(w, trace: WitnessTrace) -> bool:
     """Replay every recorded step of ``trace`` against ``w``."""
     try:
         return _validate(tuple(w), trace)
-    except Exception:
+    except InvalidOccurrence:
         return False
 
 

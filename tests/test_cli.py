@@ -191,6 +191,33 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("bad", ["0", "-1", "x"])
+@pytest.mark.parametrize(
+    "command", [["verify"], ["construct"], ["witness", "0101"], ["oracle", "balanced-check"]]
+)
+def test_nonpositive_parameters_are_usage_errors(capsys, command, bad):
+    for flag, argv in (("--n", ["--n", bad, "--k", "1"]), ("--k", ["--n", "1", "--k", bad])):
+        code, out, err = run(capsys, *command, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must be a positive integer, got '{bad}'" in err
+
+
+def test_python_dash_m(tmp_path):
+    package_root = str(Path(wordpat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordpat", "std", "3412"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2301\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -1,11 +1,15 @@
 """Unavoidable-pattern families and the specialized containment checkers."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_contains
+from oracles import brute_contains, double_run_by_all_pairs
+from wordpat.construction import build
 from wordpat.patterns import (
     Direction,
+    _pareto_insert,
     FamilyId,
     constant_pattern,
     contains_any_family,
@@ -223,6 +227,75 @@ def test_any_family_occurrence_validates(w, n, k):
     if found is not None:
         fid, occ = found
         assert standardise(subword(w, occ)) == base_pattern(fid)
+
+
+def _sorted_word(m):
+    return (0,) * m + (1,) * m
+
+
+def _balanced_uniform_word(seed, values, copies):
+    w = [v for v in range(values) for _ in range(copies)]
+    random.Random(seed).shuffle(w)
+    return tuple(w)
+
+
+def _block_word(seed, n):
+    # Runs of 5..25 equal letters over n+2 values: long stretches of one
+    # value, and a mix of present and absent double runs.
+    rng = random.Random(seed)
+    runs = [(rng.randrange(n + 2), rng.randint(5, 25)) for _ in range(3 * n + 4)]
+    return tuple(v for v, length in runs for _ in range(length))
+
+
+# (label, word, n, double runs that must occur): high-multiplicity hosts
+# where the cuts of the double-run searches are actually exercised.
+DOUBLE_RUN_HOSTS = [
+    *((f"sorted 2x{m}", _sorted_word(m), 1, set()) for m in (2, 7, 40, 300)),
+    *(
+        (f"uniform n={n} seed={seed}", _balanced_uniform_word(seed, 12, copies), n, None)
+        for seed in (1, 2)
+        for n, copies in ((1, 30), (2, 25), (3, 25), (4, 20))
+    ),
+    *(
+        (f"blocks n={n} seed={seed}", _block_word(seed, n), n, None)
+        for seed in (1, 2, 3)
+        for n in (1, 2, 3)
+    ),
+    *(
+        (f"build({n},1).{part}", getattr(build(n, 1), part), n, set())
+        for n in (1, 2, 3)
+        for part in "qs"
+    ),
+    ("build(2,2).s", build(2, 2).s, 2, {(ID, REV), (REV, ID)}),
+]
+
+
+@pytest.mark.parametrize(
+    "w, n, present", [h[1:] for h in DOUBLE_RUN_HOSTS], ids=[h[0] for h in DOUBLE_RUN_HOSTS]
+)
+def test_double_run_checkers_match_all_pairs_reference(w, n, present):
+    for e1 in (ID, REV):
+        for e2 in (ID, REV):
+            pattern = standardise(double_run_pattern(n, e1, e2))
+            occ = contains_double_run(w, n, e1, e2)
+            ref = double_run_by_all_pairs(w, n, str(e1), str(e2))
+            assert (occ is None) == (ref is None), (e1, e2, occ, ref)
+            if present is not None:
+                assert (occ is not None) == ((e1, e2) in present), (e1, e2)
+            for found in (occ, ref):
+                if found is not None:
+                    assert standardise(subword(w, found)) == pattern
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))
+def test_pareto_front_keeps_exactly_the_minimal_states(points):
+    front = []
+    for a, b in points:
+        _pareto_insert(front, (a, b, None))
+    minimal = {
+        p for p in points if not any(o != p and o[0] <= p[0] and o[1] <= p[1] for o in points)
+    }
+    assert [state[:2] for state in front] == sorted(minimal)
 
 
 def test_direction_flip():

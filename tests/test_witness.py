@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from wordgen import word_with_repeats
+from wordpat import witness
 from wordpat.patterns import Direction, FamilyId, base_pattern
 from wordpat.witness import InsufficientRepeats, extract_witness, validate_trace
 from wordpat.words import repeats, standardise, subword
@@ -122,10 +123,25 @@ def _first_trace_with_branch(n, k, branch, seed=41):
 
 
 def test_validate_rejects_corrupt_occurrence():
+    cases = [_first_trace_with_branch(1, 1, b) for b in ("double_run", "doubled_monotone")]
+    cases.append(((0, 0, 0), extract_witness((0, 0, 0), 1, 1)[2]))
+    for w, trace in cases:
+        assert validate_trace(w, trace)
+        occ = trace.occurrence
+        # Out-of-range positions are a malformed trace, not an error.
+        for bad in (occ[:-1] + (len(w) + 1,), (0,) + occ[1:], (-1,) + occ[1:]):
+            assert not validate_trace(w, replace(trace, occurrence=bad))
+
+
+def test_validate_does_not_hide_its_own_errors(monkeypatch):
     w, trace = _first_trace_with_branch(1, 1, "double_run")
-    assert validate_trace(w, trace)
-    bad = replace(trace, occurrence=trace.occurrence[:-1] + (len(w) + 1,))
-    assert not validate_trace(w, bad)
+
+    def broken(*args):
+        raise RuntimeError("bug in a validator helper")
+
+    monkeypatch.setattr(witness, "_strictly_monotone", broken)
+    with pytest.raises(RuntimeError, match="bug in a validator helper"):
+        validate_trace(w, trace)
 
 
 def test_validate_rejects_wrong_family():
