@@ -15,7 +15,7 @@ import sys
 
 from .algebra import concat, direct_power, direct_sum, skew_power, skew_sum
 from .construction import build, verify
-from .guards import GuardExceeded
+from .guards import GuardExceeded, check_guard
 from .oracle import (
     check_unavoidability_balanced,
     enumerate_balanced,
@@ -44,15 +44,23 @@ def _word(text: str):
         raise UsageError(str(exc)) from None
 
 
-def _positive(text: str) -> int:
-    """argparse type for the --n and --k parameters, which must be >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_from(low: int, kind: str):
+    """argparse type for an integer option that must be >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _int_from(1, "positive")
+_nonnegative = _int_from(0, "non-negative")
 
 
 def _guard(args: argparse.Namespace, default: int) -> int:
@@ -109,6 +117,11 @@ def cmd_algebra(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    check_guard(
+        (args.k + 1) * args.n**6,
+        _guard(args, 100_000),
+        f"construction word for n={args.n}, k={args.k}",
+    )
     parts = build(args.n, args.k)
     part = {
         "p": parts.p,
@@ -217,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--part", choices=["p", "t", "r", "rprime", "q", "s"], default="s"
     )
+    _add_guard(sp)
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("verify", help="check the constructed word's guarantees")
@@ -237,20 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     osub = sp.add_subparsers(dest="oracle_command", required=True)
 
     op = osub.add_parser("cayley", help="enumerate standardised words")
-    op.add_argument("--len", dest="length", type=int, required=True)
+    op.add_argument("--len", dest="length", type=_nonnegative, required=True)
     _add_guard(op)
     op.set_defaults(func=cmd_oracle_cayley)
 
     op = osub.add_parser("balanced", help="enumerate balanced words")
-    op.add_argument("--values", type=int, required=True)
-    op.add_argument("--mult", type=int, required=True)
+    op.add_argument("--values", type=_nonnegative, required=True)
+    op.add_argument("--mult", type=_positive, required=True)
     _add_guard(op)
     op.set_defaults(func=cmd_oracle_balanced)
 
     op = osub.add_parser("max-repeats", help="search for extremal avoiders")
-    op.add_argument("--n", type=int, required=True)
-    op.add_argument("--k", type=int, required=True)
-    op.add_argument("--max-values", type=int, required=True)
+    op.add_argument("--n", type=_nonnegative, required=True)
+    op.add_argument("--k", type=_positive, required=True)
+    op.add_argument("--max-values", type=_nonnegative, required=True)
     _add_guard(op)
     op.set_defaults(func=cmd_oracle_max_repeats)
 

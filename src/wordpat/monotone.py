@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .words import Occurrence
+from .words import InvariantViolation, Occurrence
 
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
@@ -73,5 +73,6 @@ def es_extract(w, r: int, s: int) -> tuple[str, Occurrence]:
     if len(up) >= r + 1:
         return NONDECREASING, up[: r + 1]
     down = longest_nonincreasing(w)
-    assert len(down) >= s + 1, "monotone guarantee violated"
+    if len(down) < s + 1:
+        raise InvariantViolation("monotone guarantee violated")
     return NONINCREASING, down[: s + 1]

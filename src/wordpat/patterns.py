@@ -24,6 +24,17 @@ search on the value-complemented host, so two shapes remain:
   window and after q_0 extends a chain by its next positions after the
   chain's last (p, q).
 
+Before its chain search an ascending pivot must pass a patience-sorting
+bound.  The chain's v_1 < ... < v_n sit at p_0 < p_1 < ... < p_n < q_0
+and each occurs again after q_0, so the letters strictly between p_0
+and q_0 that are above v_0 and occur after q_0 hold a strictly
+increasing subsequence of length n.  Patience sorting finds the longest
+one with one bisection per letter, and a pivot whose bound is under n
+is skipped: no occurrence is lost.  The tails carry over from one q_0
+of v_0 to the next, so each letter is scanned once per v_0; a letter
+admitted under an earlier, smaller q_0 need not occur after the current
+one, so the carried length bounds the exact one from above.
+
 Both shapes keep, per chain length, the Pareto-minimal states in two
 keys that grow along a chain, (p, q) or (-p, q): a state no smaller than
 another in either key finishes only chains the other finishes too.  Such
@@ -276,18 +287,32 @@ def _grow(fronts: list, firsts: list, seconds: list) -> list | None:
 
 def _double_run_ascending(w: Word, n: int) -> Occurrence | None:
     occ = occurrences_by_value(w)
+    last = {v: ps[-1] for v, ps in occ.items()}
     values = sorted(occ)
     for v0 in values[: len(values) - n]:
         ps0 = occ[v0]
         p0 = ps0[0]
+        tails: list[int] = []
         inside: set[int] = set()
         for q_prev, q0 in zip(ps0, ps0[1:]):
             if n == 0:
                 return (p0, q0)
-            inside.update(w[q_prev - 1 : q0 - 1])
-            window = sorted(v for v in inside if v > v0 and occ[v][-1] > q0)
-            if len(window) < n:
-                continue
+            # Patience sorting bounds the chains; once n tails stand,
+            # every later pivot of v0 passes too.
+            if len(tails) < n:
+                for v in w[q_prev : q0 - 1]:
+                    if v > v0 and last[v] > q0:
+                        i = bisect_left(tails, v)
+                        if i < len(tails):
+                            tails[i] = v
+                        else:
+                            tails.append(v)
+                if len(tails) < n:
+                    continue
+                # The first pivot to pass collects the earlier letters.
+                inside.update(w[p0:q_prev])
+            inside.update(w[q_prev : q0 - 1])
+            window = sorted(v for v in inside if v > v0 and last[v] > q0)
             fronts = [[(p0, q0, None)]] + [[] for _ in range(n - 1)]
             for v in window:
                 ps = occ[v]

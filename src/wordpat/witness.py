@@ -31,6 +31,7 @@ from .monotone import NONDECREASING, es_extract
 from .patterns import Direction, FamilyId, contains_constant, base_pattern
 from .words import (
     InvalidOccurrence,
+    InvariantViolation,
     Occurrence,
     Word,
     occurrences_by_value,
@@ -84,7 +85,11 @@ class WitnessTrace:
 
 
 def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTrace]:
-    """Find a base-family occurrence in a word with more than k n^6 repeats."""
+    """Find a base-family occurrence in a word with more than k n^6 repeats.
+
+    Each step the proof guarantees is checked; a failure raises
+    InvariantViolation, also under ``python -O``.
+    """
     w = tuple(w)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -107,7 +112,8 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     need = n**6 + 1
     repeated = [v for v, ps in occ.items() if len(ps) >= 2]
     repeated.sort(key=lambda v: occ[v][0])
-    assert len(repeated) >= need, "repeat arithmetic violated"
+    if len(repeated) < need:
+        raise InvariantViolation("repeat arithmetic violated")
     chosen = tuple(repeated[:need])
     first_of = {v: occ[v][0] for v in chosen}
     second_of = {v: occ[v][1] for v in chosen}
@@ -126,7 +132,8 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     core_vals = tuple(firsts_vals[i - 1] for i in core_idx)
     monotone_occ = tuple(firsts_occ[i - 1] for i in core_idx)
     # Distinct values make the monotone core strict.
-    assert len(set(core_vals)) == len(core_vals)
+    if len(set(core_vals)) != half + 1:
+        raise InvariantViolation("monotone core is not n^3 + 1 distinct values")
 
     common = dict(
         n=n,
@@ -161,9 +168,11 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
         e2 = Direction.ID if d2 == NONDECREASING else Direction.REV
         chosen_rep_w = tuple(rep_w[i - 1] for i in rep_idx)
         chosen_vals = tuple(w[x - 1] for x in chosen_rep_w)
-        assert len(set(chosen_vals)) == len(chosen_vals)
+        if len(set(chosen_vals)) != n + 1:
+            raise InvariantViolation("repeat run is not n + 1 distinct values")
         match_first_w = tuple(sorted(first_of[v] for v in chosen_vals))
-        assert match_first_w[-1] < chosen_rep_w[0], "block separation violated"
+        if match_first_w[-1] >= chosen_rep_w[0]:
+            raise InvariantViolation("block separation violated")
         occurrence = match_first_w + chosen_rep_w
         fid = FamilyId("double_run", n, k, e1, e2)
         trace = WitnessTrace(
@@ -187,9 +196,8 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     for v in vals:
         positions.extend((first_of[v], second_of[v]))
     occurrence = tuple(positions)
-    assert all(a < b for a, b in zip(occurrence, occurrence[1:])), (
-        "pair interleaving violated"
-    )
+    if any(a >= b for a, b in zip(occurrence, occurrence[1:])):
+        raise InvariantViolation("pair interleaving violated")
     fid = FamilyId("doubled_monotone", n, k, e1)
     trace = WitnessTrace(
         branch="doubled_monotone",

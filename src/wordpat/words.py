@@ -18,6 +18,13 @@ class InvalidOccurrence(ValueError):
     """Occurrence indices are out of range or not strictly increasing."""
 
 
+class InvariantViolation(RuntimeError):
+    """A step that the proof guarantees failed: a library bug, not bad input.
+
+    Raised explicitly, so the check survives ``python -O``.
+    """
+
+
 def standardise(w) -> Word:
     """Relabel the letters of ``w`` order-preservingly onto {0, ..., m}.
 

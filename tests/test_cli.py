@@ -202,6 +202,47 @@ def test_nonpositive_parameters_are_usage_errors(capsys, command, bad):
         assert f"argument {flag}: must be a positive integer, got '{bad}'" in err
 
 
+# Each oracle option with the domain of the library argument it feeds;
+# "{}" marks the value under test.
+ORACLE_OPTIONS = [
+    (["cayley", "--len", "{}"], "--len", "non-negative"),
+    (["balanced", "--values", "{}", "--mult", "1"], "--values", "non-negative"),
+    (["balanced", "--values", "2", "--mult", "{}"], "--mult", "positive"),
+    (["max-repeats", "--n", "{}", "--k", "1", "--max-values", "2"], "--n", "non-negative"),
+    (["max-repeats", "--n", "1", "--k", "{}", "--max-values", "2"], "--k", "positive"),
+    (["max-repeats", "--n", "1", "--k", "1", "--max-values", "{}"], "--max-values", "non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, kind", ORACLE_OPTIONS, ids=[f"{a[0]} {f}" for a, f, _ in ORACLE_OPTIONS]
+)
+def test_oracle_parameters_out_of_domain_are_usage_errors(capsys, argv, flag, kind):
+    bad_values = ["-1", "x"] + (["0"] if kind == "positive" else [])
+    for bad in bad_values:
+        code, out, err = run(capsys, "oracle", *(a.format(bad) for a in argv))
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: must be a {kind} integer, got '{bad}'" in err
+    # The domain's lower end itself is accepted.
+    low = "0" if kind == "non-negative" else "1"
+    assert run(capsys, "oracle", *(a.format(low) for a in argv))[0] == 0
+
+
+def test_construct_guard(capsys, monkeypatch):
+    # (k+1) n^6 letters: 2 * 10^12 at n = 100, 235298 at n = 7.
+    for argv in (["--n", "100"], ["--n", "7"], ["--n", "2", "--guard", "127"]):
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out) == (1, "")
+        assert "guard" in err
+    code, out, _ = run(capsys, "construct", "--n", "2", "--guard", "128")
+    assert (code, out) == (0, " ".join(str(v) for v in build(2, 1).s) + "\n")
+    code, out, _ = run(capsys, "construct", "--n", "7", "--part", "p", "--guard", "235298")
+    assert (code, out) == (0, " ".join(str(v) for v in range(1, 50)) + "\n")
+    monkeypatch.setenv("REPEATS_GUARD", "127")
+    assert run(capsys, "construct", "--n", "2")[0] == 1
+    assert run(capsys, "construct", "--n", "2", "--guard", "128")[0] == 0
+
+
 def test_python_dash_m(tmp_path):
     package_root = str(Path(wordpat.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import longest_nondecreasing_len, longest_nonincreasing_len
 from wordgen import grid_word
+from wordpat import monotone
 from wordpat.monotone import (
     NONDECREASING,
     NONINCREASING,
@@ -15,7 +16,7 @@ from wordpat.monotone import (
     longest_nondecreasing,
     longest_nonincreasing,
 )
-from wordpat.words import repeats, subword
+from wordpat.words import InvariantViolation, repeats, subword
 
 words = st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=14).map(
     tuple
@@ -76,6 +77,12 @@ def test_es_extract_preconditions():
     with pytest.raises(GuaranteeUnavailable):
         # Length r*s is one short of the guarantee.
         es_extract(grid_word(random.Random(5), 3, 2), 3, 2)
+
+
+def test_es_extract_raises_when_its_guarantee_fails(monkeypatch):
+    monkeypatch.setattr(monotone, "longest_nonincreasing", lambda w: (1,))
+    with pytest.raises(InvariantViolation, match="monotone guarantee"):
+        es_extract((3, 2, 1, 0), 1, 3)
 
 
 @given(

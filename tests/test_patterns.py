@@ -247,6 +247,25 @@ def _block_word(seed, n):
     return tuple(v for v, length in runs for _ in range(length))
 
 
+def _mixed_multiplicity_word(seed, values, low, high):
+    rng = random.Random(seed)
+    w = [v for v in range(values) for _ in range(rng.randint(low, high))]
+    rng.shuffle(w)
+    return tuple(w)
+
+
+def _swapped_word(seed, w, swaps):
+    # A construction word with random adjacent letters swapped: most
+    # ascending pivots are still rejected by the patience bound, and some
+    # pass it with or without a chain behind them.
+    rng = random.Random(seed)
+    w = list(w)
+    for _ in range(swaps):
+        i = rng.randrange(len(w) - 1)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
 # (label, word, n, double runs that must occur): high-multiplicity hosts
 # where the cuts of the double-run searches are actually exercised.
 DOUBLE_RUN_HOSTS = [
@@ -266,7 +285,33 @@ DOUBLE_RUN_HOSTS = [
         for n in (1, 2, 3)
         for part in "qs"
     ),
-    ("build(2,2).s", build(2, 2).s, 2, {(ID, REV), (REV, ID)}),
+    *(
+        (f"build(2,{k}).s", build(2, k).s, 2, {(ID, REV), (REV, ID)})
+        for k in (2, 3, 5)
+    ),
+    # Values occurring 3-6 times, so the patience tails of a pivot value
+    # carry over several of its later occurrences.
+    *(
+        (f"mult 3-6 n={n} seed={seed}", _mixed_multiplicity_word(seed, values, 3, 6), n, None)
+        for n, values, seed in ((2, 8, 2), (3, 14, 2), (4, 45, 4))
+    ),
+    *(
+        (f"build(2,{k}).s swapped {m} seed={seed}", _swapped_word(seed, build(2, k).s, m), 2, None)
+        for k in (2, 3, 5)
+        for m, seed in ((20, 1), (20, 2), (80, 2))
+    ),
+    *(
+        (f"build(3,2).s swapped {m} seed={seed}", _swapped_word(seed, build(3, 2).s, m), 3, None)
+        for m, seed in ((40, 2), (200, 1))
+    ),
+    # The pivot (1, 4) passes the bound on 1 < 2 at positions 2 < 3, but
+    # their later occurrences 6 > 5 run the wrong way: no (id,id) chain.
+    ("pivot passes, no chain", (0, 1, 2, 0, 2, 1), 2, set()),
+    # Only the pivot (1, 5) has a chain, through the 1 at position 2,
+    # which lies before the previous pivot's end at 3.
+    ("chain spans two pivots", (0, 1, 0, 2, 0, 1, 2), 2, {(ID, ID)}),
+    # Each chain value occurs again right after q_0, at the earliest.
+    ("the pattern itself", double_run_pattern(2, ID, ID), 2, {(ID, ID)}),
 ]
 
 
@@ -285,6 +330,22 @@ def test_double_run_checkers_match_all_pairs_reference(w, n, present):
             for found in (occ, ref):
                 if found is not None:
                     assert standardise(subword(w, found)) == pattern
+
+
+@given(
+    st.lists(st.integers(2, 5), min_size=1, max_size=10).flatmap(
+        lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
+    w = tuple(w)
+    for e in (ID, REV):
+        occ = contains_double_run(w, n, e, e)
+        ref = double_run_by_all_pairs(w, n, str(e), str(e))
+        assert (occ is None) == (ref is None), (e, occ, ref)
+        if occ is not None:
+            assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e, e))
 
 
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))

@@ -1,7 +1,11 @@
 """Constructive witness extraction and trace replay."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from wordgen import word_with_repeats
 from wordpat import witness
 from wordpat.patterns import Direction, FamilyId, base_pattern
 from wordpat.witness import InsufficientRepeats, extract_witness, validate_trace
-from wordpat.words import repeats, standardise, subword
+from wordpat.words import InvariantViolation, repeats, standardise, subword
 
 
 def test_constant_branch():
@@ -142,6 +146,58 @@ def test_validate_does_not_hide_its_own_errors(monkeypatch):
     monkeypatch.setattr(witness, "_strictly_monotone", broken)
     with pytest.raises(RuntimeError, match="bug in a validator helper"):
         validate_trace(w, trace)
+
+
+def _shorten_es_extract(monkeypatch, r_cut):
+    # es_extract returning one position too few when its r is r_cut.
+    real = witness.es_extract
+
+    def short(vals, r, s):
+        direction, occ = real(vals, r, s)
+        return direction, occ[:-1] if r == r_cut else occ
+
+    monkeypatch.setattr(witness, "es_extract", short)
+
+
+@pytest.mark.parametrize(
+    "r_cut, branch, message",
+    [(8, "doubled_monotone", "monotone core"), (2, "double_run", "repeat run")],
+)
+def test_short_monotone_subword_raises_invariant_violation(monkeypatch, r_cut, branch, message):
+    # n = 2: the core is cut with r = n^3 = 8, a block's repeats with r = n = 2.
+    w, _ = _first_trace_with_branch(2, 1, branch)
+    _shorten_es_extract(monkeypatch, r_cut)
+    with pytest.raises(InvariantViolation, match=message):
+        extract_witness(w, 2, 1)
+
+
+def test_invariant_checks_survive_python_dash_O(tmp_path):
+    script = (
+        "from wordpat import witness\n"
+        "from wordpat.words import InvariantViolation\n"
+        "real = witness.es_extract\n"
+        "def short(*args):\n"
+        "    direction, occ = real(*args)\n"
+        "    return direction, occ[:-1]\n"
+        "witness.es_extract = short\n"
+        "try:\n"
+        "    witness.extract_witness((0, 1, 0, 1), 1, 1)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    package_root = str(Path(witness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False monotone core")
 
 
 def test_validate_rejects_wrong_family():
