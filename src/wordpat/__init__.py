@@ -4,6 +4,8 @@ Core objects are plain tuples of non-negative ints; positions in
 occurrences are 1-based throughout.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import concat, direct_power, direct_sum, skew_power, skew_sum
 from .construction import (
     ConstructionParts,
@@ -65,64 +67,12 @@ from .words import (
     subword,
 )
 
+# Every public name imported above; the submodules are bound here too,
+# but they are not part of the flat API.
 __all__ = [
-    "Word",
-    "Occurrence",
-    "InvalidOccurrence",
-    "InvariantViolation",
-    "standardise",
-    "is_pattern",
-    "repeats",
-    "reverse",
-    "subword",
-    "occurrences_by_value",
-    "multiplicities",
-    "contains",
-    "is_inversion_sequence",
-    "render_grid",
-    "parse_word",
-    "format_word",
-    "concat",
-    "direct_sum",
-    "skew_sum",
-    "direct_power",
-    "skew_power",
-    "NONDECREASING",
-    "NONINCREASING",
-    "GuaranteeUnavailable",
-    "longest_nondecreasing",
-    "longest_nonincreasing",
-    "es_extract",
-    "Direction",
-    "FamilyId",
-    "constant_pattern",
-    "multiplied_monotone_pattern",
-    "run_pattern",
-    "double_run_pattern",
-    "family",
-    "family_mult",
-    "contains_constant",
-    "contains_multiplied_monotone",
-    "contains_double_run",
-    "find_family_member",
-    "base_pattern",
-    "contains_any_family",
-    "ConstructionParts",
-    "VerifyReport",
-    "MonotoneReport",
-    "build",
-    "verify",
-    "verify_q_lemma",
-    "max_monotone_of_r",
-    "InsufficientRepeats",
-    "WitnessTrace",
-    "extract_witness",
-    "validate_trace",
-    "GuardExceeded",
-    "enumerate_cayley",
-    "enumerate_balanced",
-    "max_repeats_avoiding",
-    "check_unavoidability_balanced",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
 
 __version__ = "0.1.0"

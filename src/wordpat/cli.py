@@ -63,15 +63,20 @@ _positive = _int_from(1, "positive")
 _nonnegative = _int_from(0, "non-negative")
 
 
+def _parsed(parse, what: str, text: str) -> int:
+    """Parse a value that argparse does not see with one of its types."""
+    try:
+        return parse(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{what} {exc}") from None
+
+
 def _guard(args: argparse.Namespace, default: int) -> int:
     if getattr(args, "guard", None) is not None:
         return args.guard
     env = os.environ.get("REPEATS_GUARD")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"REPEATS_GUARD must be an integer, got {env!r}") from None
+        return _parsed(_nonnegative, "REPEATS_GUARD", env)
     return default
 
 
@@ -103,10 +108,7 @@ def cmd_contains(args: argparse.Namespace) -> int:
 def cmd_algebra(args: argparse.Namespace) -> int:
     left = _word(args.left)
     if args.op in ("dpow", "spow"):
-        try:
-            m = int(args.right)
-        except ValueError:
-            raise UsageError(f"power must be an integer, got {args.right!r}") from None
+        m = _parsed(_positive, "power", args.right)
         out = direct_power(left, m) if args.op == "dpow" else skew_power(left, m)
     else:
         right = _word(args.right)
@@ -193,7 +195,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _add_guard(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--guard", type=int, default=None, help="size guard override")
+    sp.add_argument("--guard", type=_nonnegative, default=None, help="size guard override")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from math import factorial
 from typing import Iterator
 
 from .guards import check_guard
-from .patterns import family, family_mult, find_family_member
+from .patterns import _Host, family, family_mult, find_family_member
 from .words import Word
 
 
@@ -122,7 +122,8 @@ def max_repeats_avoiding(
             continue
         for arr in _arrangements(list(counts)):
             word = tuple(v - 1 for v in arr)
-            if any(find_family_member(word, fid) is not None for fid, _ in fam):
+            host = _Host(word)
+            if any(find_family_member(host, fid) is not None for fid, _ in fam):
                 continue
             if base > best_r or best_w is None or word < best_w:
                 best_r, best_w = base, word
@@ -144,8 +145,9 @@ def check_unavoidability_balanced(n: int, k: int, guard: int = 16) -> bool:
     check_guard(values * (k + 1), guard, "balanced enumeration word length")
     fam = family_mult(n, k)
     for word in enumerate_balanced(values, k + 1, guard=guard):
+        host = _Host(word)
         if not any(
-            find_family_member(word, fid, doubled_mult=k + 1) is not None
+            find_family_member(host, fid, doubled_mult=k + 1) is not None
             for fid, _ in fam
         ):
             return False

@@ -49,6 +49,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .words import Occurrence, Word, occurrences_by_value
 
@@ -77,11 +78,7 @@ class FamilyId:
     e2: Direction | None = None
 
     def __str__(self) -> str:
-        if self.kind == "constant":
-            return "Constant"
-        if self.kind == "doubled_monotone":
-            return f"DoubledMonotone({self.e1})"
-        return f"DoubleRun({self.e1},{self.e2})"
+        return _KINDS[self.kind].name(self)
 
 
 def constant_pattern(m: int) -> Word:
@@ -103,10 +100,18 @@ def double_run_pattern(n: int, e1: Direction, e2: Direction) -> Word:
     return run_pattern(n, e1) + run_pattern(n, e2)
 
 
-def _dedup(items: list[tuple[FamilyId, Word]]) -> list[tuple[FamilyId, Word]]:
+def _members(n: int, k: int, mult: int, with_constant: bool) -> list[tuple[FamilyId, Word]]:
+    """Family members in the fixed order, staircases with group size
+    ``mult``, degenerate duplicates collapsed."""
+    if n < 0 or k < 1:
+        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+    fids = [FamilyId("constant", n, k)] if with_constant else []
+    fids += [FamilyId("doubled_monotone", n, k, e) for e in Direction]
+    fids += [FamilyId("double_run", n, k, e1, e2) for e1 in Direction for e2 in Direction]
     seen: set[Word] = set()
     out = []
-    for fid, pat in items:
+    for fid in fids:
+        pat = _KINDS[fid.kind].pattern(fid, mult)
         if pat not in seen:
             seen.add(pat)
             out.append((fid, pat))
@@ -119,25 +124,7 @@ def family(n: int, k: int) -> list[tuple[FamilyId, Word]]:
     Fixed order: constant, doubled monotone (id, rev), then the four
     double runs (id,id), (id,rev), (rev,id), (rev,rev).
     """
-    if n < 0 or k < 1:
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
-    items = [
-        (FamilyId("constant", n, k), constant_pattern(k + 2)),
-        (
-            FamilyId("doubled_monotone", n, k, Direction.ID),
-            multiplied_monotone_pattern(n, 2, Direction.ID),
-        ),
-        (
-            FamilyId("doubled_monotone", n, k, Direction.REV),
-            multiplied_monotone_pattern(n, 2, Direction.REV),
-        ),
-    ]
-    items += [
-        (FamilyId("double_run", n, k, e1, e2), double_run_pattern(n, e1, e2))
-        for e1 in Direction
-        for e2 in Direction
-    ]
-    return _dedup(items)
+    return _members(n, k, 2, with_constant=True)
 
 
 def family_mult(n: int, k: int) -> list[tuple[FamilyId, Word]]:
@@ -146,24 +133,59 @@ def family_mult(n: int, k: int) -> list[tuple[FamilyId, Word]]:
     The doubled-monotone members use group size k+1; at k=1 they
     coincide with the base family's staircases.
     """
-    if n < 0 or k < 1:
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
-    items = [
-        (
-            FamilyId("doubled_monotone", n, k, Direction.ID),
-            multiplied_monotone_pattern(n, k + 1, Direction.ID),
-        ),
-        (
-            FamilyId("doubled_monotone", n, k, Direction.REV),
-            multiplied_monotone_pattern(n, k + 1, Direction.REV),
-        ),
-    ]
-    items += [
-        (FamilyId("double_run", n, k, e1, e2), double_run_pattern(n, e1, e2))
-        for e1 in Direction
-        for e2 in Direction
-    ]
-    return _dedup(items)
+    return _members(n, k, k + 1, with_constant=False)
+
+
+class _Host:
+    """A word prepared once for all the member checks against it.
+
+    Each part is built on first use, so one check builds only what its
+    checker reads: the position index, the last occurrences, and the
+    host of the value complement, whose index is this index relabelled
+    rather than a second scan.  Checkers never modify the index lists,
+    which the complement shares.
+    """
+
+    __slots__ = ("word", "_occ", "_last", "_complement")
+
+    def __init__(self, w, occ: dict[int, list[int]] | None = None):
+        self.word: Word = tuple(w)
+        self._occ = occ
+        self._last: dict[int, int] | None = None
+        self._complement: _Host | None = None
+
+    def occ(self) -> dict[int, list[int]]:
+        if self._occ is None:
+            self._occ = occurrences_by_value(self.word)
+        return self._occ
+
+    def last(self) -> dict[int, int]:
+        if self._last is None:
+            self._last = {v: ps[-1] for v, ps in self.occ().items()}
+        return self._last
+
+    def oriented(self, e: Direction) -> _Host:
+        """This host for ID; for REV, its complement, where a descending
+        run is an ascending one."""
+        if e is Direction.ID:
+            return self
+        if self._complement is None:
+            occ = self.occ()
+            top = max(occ)
+            # One int object per value, shared by the word and the index,
+            # so the searches' dict lookups match on identity.
+            flip = {v: top - v for v in occ}
+            self._complement = _Host(
+                [flip[v] for v in self.word], {flip[v]: ps for v, ps in occ.items()}
+            )
+        return self._complement
+
+
+def _prepare(w, n: int, mult: int = 1) -> _Host:
+    """A raw word as a host, once the member parameters are checked."""
+    if n < 0 or mult < 1:
+        raise ValueError(f"need n >= 0 and mult >= 1, got n={n}, mult={mult}")
+    return _Host(w)
 
 
 def contains_constant(w, m: int) -> Occurrence | None:
@@ -179,26 +201,22 @@ def contains_constant(w, m: int) -> Occurrence | None:
     return None
 
 
-def _complement(w: Word) -> Word:
-    top = max(w)
-    return tuple(top - v for v in w)
-
-
 def contains_multiplied_monotone(w, n: int, mult: int, e: Direction) -> Occurrence | None:
     """Occurrence of n+1 groups of ``mult`` equal letters, monotone per ``e``."""
-    w = tuple(w)
-    if len(w) < (n + 1) * mult:
+    return _multiplied_monotone(_prepare(w, n, mult), n, mult, e)
+
+
+def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurrence | None:
+    if len(host.word) < (n + 1) * mult:
         return None
-    host = w if e is Direction.ID else _complement(w)
-    return _multiplied_monotone_ascending(host, n, mult)
+    return _multiplied_monotone_ascending(host.oriented(e).occ(), n, mult)
 
 
-def _multiplied_monotone_ascending(w: Word, n: int, mult: int) -> Occurrence | None:
+def _multiplied_monotone_ascending(occ: dict, n: int, mult: int) -> Occurrence | None:
     # Chain DP over values in increasing order.  best[L] is the minimal
     # achievable end position of an L-group chain together with its
     # groups; extending with value v always takes the first `mult`
     # occurrences of v after the previous end, which is exchange-optimal.
-    occ = occurrences_by_value(w)
     target = n + 1
     best: list[tuple[int, tuple] | None] = [None] * (target + 1)
     best[0] = (0, ())
@@ -227,12 +245,18 @@ def _multiplied_monotone_ascending(w: Word, n: int, mult: int) -> Occurrence | N
 def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
     """Occurrence of two position-separated monotone runs over the same
     n+1 values, the first oriented per ``e1`` and the second per ``e2``."""
-    w = tuple(w)
-    if len(w) < 2 * (n + 1):
+    return _double_run(_prepare(w, n), n, e1, e2)
+
+
+def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
+    if len(host.word) < 2 * (n + 1):
         return None
+    # (id,id) and (rev,id) are searched on the host itself, (rev,rev) and
+    # (id,rev) on its complement.
+    oriented = host.oriented(e2)
     if e1 is e2:
-        return _double_run_ascending(w if e1 is Direction.ID else _complement(w), n)
-    return _double_run_nested(w if e1 is Direction.REV else _complement(w), n)
+        return _double_run_ascending(oriented, n)
+    return _double_run_nested(oriented.occ(), n)
 
 
 def _pareto_insert(front: list, state: tuple) -> None:
@@ -285,9 +309,8 @@ def _grow(fronts: list, firsts: list, seconds: list) -> list | None:
     return None
 
 
-def _double_run_ascending(w: Word, n: int) -> Occurrence | None:
-    occ = occurrences_by_value(w)
-    last = {v: ps[-1] for v, ps in occ.items()}
+def _double_run_ascending(host: _Host, n: int) -> Occurrence | None:
+    w, occ, last = host.word, host.occ(), host.last()
     values = sorted(occ)
     for v0 in values[: len(values) - n]:
         ps0 = occ[v0]
@@ -323,8 +346,7 @@ def _double_run_ascending(w: Word, n: int) -> Occurrence | None:
     return None
 
 
-def _double_run_nested(w: Word, n: int) -> Occurrence | None:
-    occ = occurrences_by_value(w)
+def _double_run_nested(occ: dict[int, list[int]], n: int) -> Occurrence | None:
     fronts: list[list] = [[] for _ in range(n)]
     for v in sorted(occ):
         ps = occ[v]
@@ -341,38 +363,60 @@ def _double_run_nested(w: Word, n: int) -> Occurrence | None:
     return None
 
 
+class _Kind(NamedTuple):
+    name: Callable[[FamilyId], str]
+    pattern: Callable[[FamilyId, int], Word]  # (member, staircase group size)
+    find: Callable[[_Host, FamilyId, int], Occurrence | None]
+
+
+class _KindTable(dict):
+    def __missing__(self, kind: str):
+        raise ValueError(f"unknown family member kind: {kind}")
+
+
+# Everything that depends on FamilyId.kind.
+_KINDS = _KindTable({
+    "constant": _Kind(
+        lambda fid: "Constant",
+        lambda fid, mult: constant_pattern(fid.k + 2),
+        lambda host, fid, mult: contains_constant(host.word, fid.k + 2),
+    ),
+    "doubled_monotone": _Kind(
+        lambda fid: f"DoubledMonotone({fid.e1})",
+        lambda fid, mult: multiplied_monotone_pattern(fid.n, mult, fid.e1),
+        lambda host, fid, mult: _multiplied_monotone(host, fid.n, mult, fid.e1),
+    ),
+    "double_run": _Kind(
+        lambda fid: f"DoubleRun({fid.e1},{fid.e2})",
+        lambda fid, mult: double_run_pattern(fid.n, fid.e1, fid.e2),
+        lambda host, fid, mult: _double_run(host, fid.n, fid.e1, fid.e2),
+    ),
+})
+
+
 def find_family_member(w, fid: FamilyId, doubled_mult: int | None = None) -> Occurrence | None:
     """Run the specialized checker for one family member.
 
+    ``w`` is a word or a ``_Host`` shared by several checks.
     ``doubled_mult`` overrides the group size of doubled-monotone
     members: 2 (default) for the base family, k+1 for the balanced-word
     family.
     """
-    if fid.kind == "constant":
-        return contains_constant(w, fid.k + 2)
-    if fid.kind == "doubled_monotone":
-        mult = 2 if doubled_mult is None else doubled_mult
-        return contains_multiplied_monotone(w, fid.n, mult, fid.e1)
-    if fid.kind == "double_run":
-        return contains_double_run(w, fid.n, fid.e1, fid.e2)
-    raise ValueError(f"unknown family member kind: {fid.kind}")
+    mult = 2 if doubled_mult is None else doubled_mult
+    host = w if type(w) is _Host else _prepare(w, fid.n, mult)
+    return _KINDS[fid.kind].find(host, fid, mult)
 
 
 def base_pattern(fid: FamilyId) -> Word:
     """The concrete base-family pattern a FamilyId names."""
-    if fid.kind == "constant":
-        return constant_pattern(fid.k + 2)
-    if fid.kind == "doubled_monotone":
-        return multiplied_monotone_pattern(fid.n, 2, fid.e1)
-    if fid.kind == "double_run":
-        return double_run_pattern(fid.n, fid.e1, fid.e2)
-    raise ValueError(f"unknown family member kind: {fid.kind}")
+    return _KINDS[fid.kind].pattern(fid, 2)
 
 
 def contains_any_family(w, n: int, k: int) -> tuple[FamilyId, Occurrence] | None:
     """First base-family member with an occurrence, in the fixed order."""
+    host = _Host(w)
     for fid, _ in family(n, k):
-        found = find_family_member(w, fid)
+        found = find_family_member(host, fid)
         if found is not None:
             return fid, found
     return None

@@ -184,11 +184,27 @@ def test_verify_guard_exceeded(capsys):
     assert "guard" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     assert run(capsys, "std", "xy")[0] == 2
     assert run(capsys, "contains", "0101", "ab")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2
     assert run(capsys)[0] == 2
+    # The algebra power is a positive integer, the guard a non-negative one.
+    for argv, message in (
+        (["algebra", "dpow", "12", "0"], "power must be a positive integer, got '0'"),
+        (["algebra", "spow", "12", "-2"], "power must be a positive integer, got '-2'"),
+        (["verify", "--n", "2", "--guard", "-1"], "must be a non-negative integer, got '-1'"),
+        (["oracle", "cayley", "--len", "2", "--guard", "x"], "must be a non-negative integer"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+    monkeypatch.setenv("REPEATS_GUARD", "-5")
+    code, out, err = run(capsys, "verify", "--n", "2")
+    assert (code, out) == (2, "")
+    assert "REPEATS_GUARD must be a non-negative integer, got '-5'" in err
+    # A guard of 0 is in the domain: the run is refused, not misused.
+    assert run(capsys, "verify", "--n", "2", "--guard", "0")[0] == 1
 
 
 @pytest.mark.parametrize("bad", ["0", "-1", "x"])

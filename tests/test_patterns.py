@@ -1,14 +1,17 @@
 """Unavoidable-pattern families and the specialized containment checkers."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import brute_contains, double_run_by_all_pairs
-from wordpat.construction import build
+from wordpat import patterns
+from wordpat.construction import build, verify, verify_q_lemma
 from wordpat.patterns import (
     Direction,
+    _Host,
     _pareto_insert,
     FamilyId,
     constant_pattern,
@@ -24,9 +27,10 @@ from wordpat.patterns import (
     run_pattern,
     base_pattern,
 )
-from wordpat.words import reverse, standardise, subword
+from wordpat.words import occurrences_by_value, reverse, standardise, subword
 
 ID, REV = Direction.ID, Direction.REV
+DIRS = (ID, REV)
 
 hosts = st.lists(st.integers(min_value=0, max_value=5), max_size=12).map(tuple)
 
@@ -147,6 +151,32 @@ def test_find_family_member_doubled_mult_override():
     assert find_family_member(w, fid) == (1, 2, 4, 5)
     assert find_family_member(w, fid, doubled_mult=3) == (1, 2, 3, 4, 5, 6)
     assert find_family_member((0, 0, 1, 1), fid, doubled_mult=3) is None
+
+
+# (label, checker, arguments) with n < 0 or a group size below 1.
+OUT_OF_DOMAIN = [
+    *(
+        (f"double run n=-1 {e1},{e2}", contains_double_run, ((0, 1, 0, 1), -1, e1, e2))
+        for e1 in DIRS
+        for e2 in DIRS
+    ),
+    *((f"staircase mult=0 {e}", contains_multiplied_monotone, ((1, 2), 1, 0, e)) for e in DIRS),
+    *((f"staircase n=-1 {e}", contains_multiplied_monotone, ((1, 2), -1, 1, e)) for e in DIRS),
+    (
+        "member doubled_mult=0",
+        find_family_member,
+        ((0, 0, 1, 1), FamilyId("doubled_monotone", 1, 1, ID), 0),
+    ),
+    ("member n=-1", find_family_member, ((0, 1, 0, 1), FamilyId("double_run", -1, 1, ID, ID))),
+]
+
+
+@pytest.mark.parametrize(
+    "check, args", [case[1:] for case in OUT_OF_DOMAIN], ids=[case[0] for case in OUT_OF_DOMAIN]
+)
+def test_out_of_domain_checker_parameters_raise_value_error(check, args):
+    with pytest.raises(ValueError, match="need n >= 0 and mult >= 1"):
+        check(*args)
 
 
 def test_base_pattern_matches_family():
@@ -357,6 +387,59 @@ def test_pareto_front_keeps_exactly_the_minimal_states(points):
         p for p in points if not any(o != p and o[0] <= p[0] and o[1] <= p[1] for o in points)
     }
     assert [state[:2] for state in front] == sorted(minimal)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify(2, 1).ok,
+        lambda: all(verify_q_lemma(2, 1).avoided.values()),
+        lambda: contains_any_family(build(2, 1).s, 2, 1) is None,
+    ],
+    ids=["verify", "verify_q_lemma", "contains_any_family"],
+)
+def test_each_word_is_indexed_once_for_all_members(monkeypatch, check):
+    counts = Counter()
+    index, init = patterns.occurrences_by_value, _Host.__init__
+
+    def counting_index(w):
+        counts["index"] += 1
+        return index(w)
+
+    def counting_init(self, w, occ=None):
+        # Only a complement host is handed an index.
+        counts["complement"] += occ is not None
+        init(self, w, occ)
+
+    monkeypatch.setattr(patterns, "occurrences_by_value", counting_index)
+    monkeypatch.setattr(_Host, "__init__", counting_init)
+    # Every member is checked and none occurs.
+    assert check()
+    assert counts["index"] == 1
+    assert counts["complement"] <= 1
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=7), max_size=16).map(tuple),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.randoms(use_true_random=False),
+)
+def test_shared_host_answers_like_fresh_calls(w, n, k, rnd):
+    # Every member, with the base and the balanced group size, in a
+    # shuffled order against one host.
+    checks = [(fid, mult) for fid, _ in family(n, k) for mult in (None, k + 1)]
+    rnd.shuffle(checks)
+    host = _Host(w)
+    for fid, mult in checks:
+        assert find_family_member(host, fid, mult) == find_family_member(w, fid, mult), (fid, mult)
+    # The checks left the host as a fresh one would build it.
+    assert host.word == w
+    assert host.occ() == occurrences_by_value(w)
+    if w:
+        complement = tuple(max(w) - v for v in w)
+        assert host.oriented(REV).word == complement
+        assert host.oriented(REV).occ() == occurrences_by_value(complement)
 
 
 def test_direction_flip():
