@@ -7,8 +7,10 @@ the same n+1 values.  The balanced-word family swaps the constant for
 multiplied staircases 0^(k+1)...n^(k+1).
 
 A double run is a chain of values v_0 < ... < v_n, each with a position
-p_t in the first run and q_t in the second.  Reversing a run is the same
-search on the value-complemented host, so two shapes remain:
+p_t in the first run and q_t in the second.  The searches read a
+host's positions per value in rising value order and address a value by
+its rank.  Reversing a run is the same search on the value complement,
+whose index is that list reversed, so two shapes remain:
 
 * nested (rev,id): p_n < ... < p_0 < q_0 < ... < q_n, intervals nested
   outward as the value grows.  The innermost interval may be taken
@@ -139,30 +141,26 @@ def family_mult(n: int, k: int) -> list[tuple[FamilyId, Word]]:
 class _Host:
     """A word prepared once for all the member checks against it.
 
-    Each part is built on first use, so one check builds only what its
-    checker reads: the position index, the last occurrences, and the
-    host of the value complement, whose index is this index relabelled
-    rather than a second scan.  Checkers never modify the index lists,
-    which the complement shares.
+    The index lists each value's positions in rising value order, so the
+    searches address a value by its rank.  The value complement reverses
+    the ranks: its host is the same word with this index reversed.  Each
+    part is built on first use, so one check builds only what its
+    checker reads.  Checkers never modify the index lists, which the
+    complement shares.
     """
 
-    __slots__ = ("word", "_occ", "_last", "_complement")
+    __slots__ = ("word", "_occ", "_complement")
 
-    def __init__(self, w, occ: dict[int, list[int]] | None = None):
+    def __init__(self, w, occ: list[list[int]] | None = None):
         self.word: Word = tuple(w)
         self._occ = occ
-        self._last: dict[int, int] | None = None
         self._complement: _Host | None = None
 
-    def occ(self) -> dict[int, list[int]]:
+    def occ(self) -> list[list[int]]:
         if self._occ is None:
-            self._occ = occurrences_by_value(self.word)
+            index = occurrences_by_value(self.word)
+            self._occ = [index[v] for v in sorted(index)]
         return self._occ
-
-    def last(self) -> dict[int, int]:
-        if self._last is None:
-            self._last = {v: ps[-1] for v, ps in self.occ().items()}
-        return self._last
 
     def oriented(self, e: Direction) -> _Host:
         """This host for ID; for REV, its complement, where a descending
@@ -170,14 +168,7 @@ class _Host:
         if e is Direction.ID:
             return self
         if self._complement is None:
-            occ = self.occ()
-            top = max(occ)
-            # One int object per value, shared by the word and the index,
-            # so the searches' dict lookups match on identity.
-            flip = {v: top - v for v in occ}
-            self._complement = _Host(
-                [flip[v] for v in self.word], {flip[v]: ps for v, ps in occ.items()}
-            )
+            self._complement = _Host(self.word, self.occ()[::-1])
         return self._complement
 
 
@@ -209,36 +200,32 @@ def contains_multiplied_monotone(w, n: int, mult: int, e: Direction) -> Occurren
 def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurrence | None:
     if len(host.word) < (n + 1) * mult:
         return None
-    return _multiplied_monotone_ascending(host.oriented(e).occ(), n, mult)
-
-
-def _multiplied_monotone_ascending(occ: dict, n: int, mult: int) -> Occurrence | None:
-    # Chain DP over values in increasing order.  best[L] is the minimal
-    # achievable end position of an L-group chain together with its
-    # groups; extending with value v always takes the first `mult`
-    # occurrences of v after the previous end, which is exchange-optimal.
+    # Chain DP over values in increasing order.  best[L] is the chain of
+    # L groups with the least end position, as (end, group, parent);
+    # extending with a value always takes its first `mult` occurrences
+    # after the previous end, which is exchange-optimal.  Longest first,
+    # so that no chain uses a value twice.
     target = n + 1
-    best: list[tuple[int, tuple] | None] = [None] * (target + 1)
-    best[0] = (0, ())
-    for v in sorted(occ):
-        ps = occ[v]
+    best: list[tuple | None] = [(0, (), None)] + [None] * target
+    for ps in host.oriented(e).occ():
         if len(ps) < mult:
             continue
-        updates = []
-        for length in range(1, target + 1):
+        for length in range(target, 0, -1):
             prev = best[length - 1]
             if prev is None:
-                break
+                continue
             i = bisect_right(ps, prev[0])
             if i + mult <= len(ps):
-                group = tuple(ps[i : i + mult])
-                updates.append((length, group[-1], prev[1] + (group,)))
-        for length, end, groups in updates:
-            if best[length] is None or end < best[length][0]:
-                best[length] = (end, groups)
-        if best[target] is not None:
-            _, groups = best[target]
-            return tuple(p for group in groups for p in group)
+                end = ps[i + mult - 1]
+                if best[length] is None or end < best[length][0]:
+                    best[length] = (end, ps[i : i + mult], prev)
+        state = best[target]
+        if state is not None:
+            groups = []
+            while state[2] is not None:
+                groups.append(state[1])
+                state = state[2]
+            return tuple(p for group in reversed(groups) for p in group)
     return None
 
 
@@ -254,6 +241,12 @@ def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence
     # (id,id) and (rev,id) are searched on the host itself, (rev,rev) and
     # (id,rev) on its complement.
     oriented = host.oriented(e2)
+    if n == 0:
+        # Both shapes reduce to two occurrences of one value.
+        for ps in oriented.occ():
+            if len(ps) > 1:
+                return (ps[0], ps[1])
+        return None
     if e1 is e2:
         return _double_run_ascending(oriented, n)
     return _double_run_nested(oriented.occ(), n)
@@ -310,20 +303,25 @@ def _grow(fronts: list, firsts: list, seconds: list) -> list | None:
 
 
 def _double_run_ascending(host: _Host, n: int) -> Occurrence | None:
-    w, occ, last = host.word, host.occ(), host.last()
-    values = sorted(occ)
-    for v0 in values[: len(values) - n]:
+    occ = host.occ()
+    # The letter at each 1-based position as its value rank, and each
+    # rank's last position.
+    w = [0] * (len(host.word) + 1)
+    last = []
+    for v, ps in enumerate(occ):
+        for p in ps:
+            w[p] = v
+        last.append(ps[-1])
+    for v0 in range(len(occ) - n):
         ps0 = occ[v0]
         p0 = ps0[0]
         tails: list[int] = []
         inside: set[int] = set()
         for q_prev, q0 in zip(ps0, ps0[1:]):
-            if n == 0:
-                return (p0, q0)
             # Patience sorting bounds the chains; once n tails stand,
             # every later pivot of v0 passes too.
             if len(tails) < n:
-                for v in w[q_prev : q0 - 1]:
+                for v in w[q_prev + 1 : q0]:
                     if v > v0 and last[v] > q0:
                         i = bisect_left(tails, v)
                         if i < len(tails):
@@ -333,8 +331,8 @@ def _double_run_ascending(host: _Host, n: int) -> Occurrence | None:
                 if len(tails) < n:
                     continue
                 # The first pivot to pass collects the earlier letters.
-                inside.update(w[p0:q_prev])
-            inside.update(w[q_prev : q0 - 1])
+                inside.update(w[p0 + 1 : q_prev + 1])
+            inside.update(w[q_prev + 1 : q0])
             window = sorted(v for v in inside if v > v0 and last[v] > q0)
             fronts = [[(p0, q0, None)]] + [[] for _ in range(n - 1)]
             for v in window:
@@ -346,14 +344,11 @@ def _double_run_ascending(host: _Host, n: int) -> Occurrence | None:
     return None
 
 
-def _double_run_nested(occ: dict[int, list[int]], n: int) -> Occurrence | None:
+def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:
     fronts: list[list] = [[] for _ in range(n)]
-    for v in sorted(occ):
-        ps = occ[v]
+    for ps in occ:
         if len(ps) < 2:
             continue
-        if n == 0:
-            return (ps[0], ps[1])
         # The last occurrence cannot open a run, nor the first close one.
         keys = _grow(fronts, [-p for p in reversed(ps[:-1])], ps[1:])
         if keys is not None:

@@ -107,11 +107,11 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
         return fid, const, trace
 
     # Each value occurs at most k+1 times, so the repeat count forces at
-    # least n^6 + 1 distinct repeated values.
+    # least n^6 + 1 distinct repeated values.  The index lists values in
+    # first-occurrence order, so the chosen values' first occurrences rise.
     occ = occurrences_by_value(w)
     need = n**6 + 1
     repeated = [v for v, ps in occ.items() if len(ps) >= 2]
-    repeated.sort(key=lambda v: occ[v][0])
     if len(repeated) < need:
         raise InvariantViolation("repeat arithmetic violated")
     chosen = tuple(repeated[:need])
@@ -122,14 +122,12 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     doubled = subword(w, doubled_occ)
     to_doubled = {wp: i + 1 for i, wp in enumerate(doubled_occ)}
 
-    firsts_w = sorted(first_of.values())
-    firsts_occ = tuple(to_doubled[x] for x in firsts_w)
-    firsts_vals = tuple(w[x - 1] for x in firsts_w)
+    firsts_occ = tuple(to_doubled[x] for x in first_of.values())
 
     half = n**3
-    direction, core_idx = es_extract(firsts_vals, half, half)
+    direction, core_idx = es_extract(chosen, half, half)
     e1 = Direction.ID if direction == NONDECREASING else Direction.REV
-    core_vals = tuple(firsts_vals[i - 1] for i in core_idx)
+    core_vals = tuple(chosen[i - 1] for i in core_idx)
     monotone_occ = tuple(firsts_occ[i - 1] for i in core_idx)
     # Distinct values make the monotone core strict.
     if len(set(core_vals)) != half + 1:

@@ -64,7 +64,8 @@ def subword(w, occ) -> Word:
 
 
 def occurrences_by_value(w) -> dict[int, list[int]]:
-    """Map each letter value to its sorted list of 1-based positions."""
+    """Map each letter value, in order of first occurrence, to its sorted
+    list of 1-based positions."""
     positions: dict[int, list[int]] = {}
     for i, v in enumerate(tuple(w), start=1):
         positions.setdefault(v, []).append(i)

@@ -187,3 +187,34 @@ def double_run_by_all_pairs(w, n, e1, e2):
     if e1 == e2:
         return _double_run_both_ascending(w if e1 == "id" else complement, n)
     return _double_run_nested(w if e1 == "rev" else complement, n)
+
+
+# --- Multiplied staircases: every group, every predecessor -------------------
+#
+# The library extends a chain only by a value's first `mult` occurrences
+# after the chain's end and keeps one chain per length.  This keeps every
+# run of `mult` consecutive occurrences as a group and tries every
+# earlier group as its predecessor, so it shares neither cut.
+
+
+def staircase_by_all_groups(w, n, mult, e):
+    """Occurrence of n+1 groups of ``mult`` equal letters whose values rise
+    for ``e`` = "id" and fall for "rev", each group after the last."""
+    w = tuple(w)
+    values = w if e == "id" else tuple(max(w, default=0) - v for v in w)
+    groups = []  # (value, positions), by rising value
+    for v, ps in sorted(_positions_by_value(values).items()):
+        groups += [(v, tuple(ps[i : i + mult])) for i in range(len(ps) - mult + 1)]
+    # chains[g]: a longest chain ending in group g, as group indexes.
+    chains = []
+    for g, (v, ps) in enumerate(groups):
+        best = ()
+        for h in range(g):
+            u, qs = groups[h]
+            if u < v and qs[-1] < ps[0] and len(chains[h]) > len(best):
+                best = chains[h]
+        chain = best + (g,)
+        if len(chain) == n + 1:
+            return tuple(p for i in chain for p in groups[i][1])
+        chains.append(chain)
+    return None

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_contains, double_run_by_all_pairs
+from oracles import brute_contains, double_run_by_all_pairs, staircase_by_all_groups
 from wordpat import patterns
 from wordpat.construction import build, verify, verify_q_lemma
 from wordpat.patterns import (
@@ -378,6 +378,58 @@ def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
             assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e, e))
 
 
+# (label, word, n, group size): hosts where the staircase search keeps
+# long chains and many candidate groups per value.
+STAIRCASE_HOSTS = [
+    *(
+        (f"build({n},{k}).s n={m} mult={mult}", build(n, k).s, m, mult)
+        for n in (1, 2, 3)
+        for k in (1, 2)
+        for mult in sorted({2, k + 1})
+        for m in (n - 1, n)
+    ),
+    *(
+        (f"sorted 2x{m} mult={mult}", _sorted_word(m), 1, mult)
+        for m in (2, 7, 40, 300)
+        for mult in sorted({2, m, m + 1})
+    ),
+    *(
+        (f"uniform 12x{copies} n={n} seed={seed} mult={mult}",
+         _balanced_uniform_word(seed, 12, copies), n, mult)
+        for seed in (1, 2)
+        for n, copies in ((1, 30), (2, 25), (3, 25), (4, 20))
+        for mult in (2, 8)
+    ),
+    *(
+        (f"build(2,{k}).s swapped {m} seed={seed} mult={mult}",
+         _swapped_word(seed, build(2, k).s, m), 2, mult)
+        for k in (2, 3, 5)
+        for m, seed in ((20, 1), (20, 2), (80, 2))
+        for mult in (2, k + 1)
+    ),
+    *(
+        (f"build(3,2).s swapped {m} seed={seed} mult={mult}",
+         _swapped_word(seed, build(3, 2).s, m), 3, mult)
+        for m, seed in ((40, 2), (200, 1))
+        for mult in (2, 3)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "w, n, mult", [h[1:] for h in STAIRCASE_HOSTS], ids=[h[0] for h in STAIRCASE_HOSTS]
+)
+def test_staircase_checker_matches_all_groups_reference(w, n, mult):
+    for e in (ID, REV):
+        pattern = multiplied_monotone_pattern(n, mult, e)
+        occ = contains_multiplied_monotone(w, n, mult, e)
+        ref = staircase_by_all_groups(w, n, mult, str(e))
+        assert (occ is None) == (ref is None), (e, occ, ref)
+        for found in (occ, ref):
+            if found is not None:
+                assert standardise(subword(w, found)) == pattern
+
+
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))
 def test_pareto_front_keeps_exactly_the_minimal_states(points):
     front = []
@@ -431,15 +483,15 @@ def test_shared_host_answers_like_fresh_calls(w, n, k, rnd):
     checks = [(fid, mult) for fid, _ in family(n, k) for mult in (None, k + 1)]
     rnd.shuffle(checks)
     host = _Host(w)
+    by_rank = [ps for _, ps in sorted(occurrences_by_value(w).items())]
+    complement = tuple(max(w, default=0) - v for v in w)
+    complement_by_rank = [ps for _, ps in sorted(occurrences_by_value(complement).items())]
     for fid, mult in checks:
         assert find_family_member(host, fid, mult) == find_family_member(w, fid, mult), (fid, mult)
-    # The checks left the host as a fresh one would build it.
-    assert host.word == w
-    assert host.occ() == occurrences_by_value(w)
-    if w:
-        complement = tuple(max(w) - v for v in w)
-        assert host.oriented(REV).word == complement
-        assert host.oriented(REV).occ() == occurrences_by_value(complement)
+        # Each check leaves the host as a fresh one would build it.
+        assert host.word == w
+        assert host.occ() == by_rank
+        assert host.oriented(REV).occ() == complement_by_rank
 
 
 def test_direction_flip():

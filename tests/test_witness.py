@@ -1,5 +1,6 @@
 """Constructive witness extraction and trace replay."""
 
+import inspect
 import os
 import random
 import subprocess
@@ -11,9 +12,11 @@ import pytest
 
 from wordgen import word_with_repeats
 from wordpat import witness
-from wordpat.patterns import Direction, FamilyId, base_pattern
+from wordpat.patterns import Direction, FamilyId, base_pattern, find_family_member
 from wordpat.witness import InsufficientRepeats, extract_witness, validate_trace
 from wordpat.words import InvariantViolation, repeats, standardise, subword
+
+ID, REV = Direction.ID, Direction.REV
 
 
 def test_constant_branch():
@@ -243,6 +246,117 @@ def test_validate_rejects_wrong_word():
     assert validate_trace((0, 1, 0, 1), trace)
     assert not validate_trace((0, 1, 1, 0), trace)
     assert not validate_trace((0, 1), trace)
+
+
+# A double-run trace on (0,1,0,1), followed by blocks holding the
+# doubled staircases and the (id,rev) double run at n = 1: a trace may
+# name one of those members and point at its occurrence, so that it
+# passes the occurrence check and fails a later one.
+DR_WORD = (0, 1, 0, 1, 2, 2, 3, 3, 5, 5, 4, 4, 6, 7, 7, 6)
+# A doubled-monotone trace on (0,0,1,1), followed by a (id,id) double run.
+DM_WORD = (0, 0, 1, 1, 2, 3, 2, 3)
+
+
+def _member(kind, e1, e2=None):
+    return FamilyId(kind, 1, 1, e1, e2)
+
+
+# (case, word, changed trace fields, text of the check that must reject
+# first); a check of None is the fall-through for an unknown branch.
+REJECTIONS = [
+    ("constant member, other branch", (0, 0, 0), lambda tr: dict(branch="double_run"),
+     'if fid.kind == "constant":'),
+    ("chosen value occurs once", DR_WORD, lambda tr: dict(chosen_values=(0, 99)),
+     "len(occ.get(v, [])) < 2"),
+    ("chosen values out of first-occurrence order", DR_WORD, lambda tr: dict(chosen_values=(1, 0)),
+     "if firsts != sorted(firsts):"),
+    ("doubled positions", DR_WORD, lambda tr: dict(doubled_occ=(1, 2, 3, 5)),
+     "if tr.doubled_occ != "),
+    ("doubled word", DR_WORD, lambda tr: dict(doubled_word=(0, 1, 1, 0)),
+     "if tr.doubled_word != "),
+    ("first-occurrence positions", DR_WORD, lambda tr: dict(firsts_occ=(1, 3)),
+     "if tr.firsts_occ != "),
+    ("core not a subsequence of the firsts", DR_WORD, lambda tr: dict(monotone_occ=(2, 1)),
+     "_is_subsequence_of(tr.monotone_occ, tr.firsts_occ)"),
+    ("core direction missing", DR_WORD, lambda tr: dict(monotone_direction=None),
+     "if tr.monotone_direction is None:"),
+    ("member's first run against the core", DR_WORD,
+     lambda tr: dict(family=_member("doubled_monotone", REV), occurrence=(9, 10, 11, 12)),
+     "if fid.e1 is not tr.monotone_direction:"),
+    ("double-run branch, other member", DR_WORD,
+     lambda tr: dict(family=_member("doubled_monotone", ID), occurrence=(5, 6, 7, 8)),
+     'if fid.kind != "double_run":'),
+    ("block not separated", DM_WORD,
+     lambda tr: dict(branch="double_run", family=_member("double_run", ID, ID),
+                     occurrence=(5, 6, 7, 8), block_start=0),
+     "second_of[v] <= boundary_first"),
+    ("repeat positions", DR_WORD, lambda tr: dict(repeat_occ=(3, 3)),
+     "if tr.repeat_occ != "),
+    ("repeat run missing", DR_WORD, lambda tr: dict(repeat_monotone_occ=None),
+     "if tr.repeat_monotone_occ is None"),
+    ("repeat run not a subsequence", DR_WORD, lambda tr: dict(repeat_monotone_occ=(4, 3)),
+     "_is_subsequence_of(tr.repeat_monotone_occ, tr.repeat_occ)"),
+    ("member's second run against the repeats", DR_WORD,
+     lambda tr: dict(family=_member("double_run", ID, REV), occurrence=(13, 14, 15, 16)),
+     "_strictly_monotone(rep_chosen_vals, fid.e2)"),
+    ("matching first positions", DR_WORD, lambda tr: dict(firsts_match_occ=(2, 1)),
+     "if tr.firsts_match_occ != "),
+    ("block picks missing", DM_WORD, lambda tr: dict(block_picks=None),
+     "if picks is None or len(picks) != n:"),
+    ("picked pair not before the next block", DR_WORD,
+     lambda tr: dict(branch="doubled_monotone", family=_member("doubled_monotone", ID),
+                     occurrence=(5, 6, 7, 8), block_picks=(0,)),
+     "if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:"),
+    ("unknown branch", DR_WORD, lambda tr: dict(branch="bogus"), None),
+]
+
+
+def _rejecting_line(w, trace):
+    """Line of ``witness._validate`` at which it returned for ``trace``.
+
+    A profile hook, so that a line tracer such as a coverage tool still
+    sees the lines run.
+    """
+    code = witness._validate.__code__
+    returned = []
+
+    def profiler(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            returned.append(frame.f_lineno)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        assert validate_trace(w, trace) is False
+    finally:
+        sys.setprofile(previous)
+    return returned[0]
+
+
+@pytest.mark.parametrize(
+    "w, changes, check", [case[1:] for case in REJECTIONS], ids=[case[0] for case in REJECTIONS]
+)
+def test_each_validation_check_rejects_first(w, changes, check):
+    _, _, trace = extract_witness(w, 1, 1)
+    assert validate_trace(w, trace)
+    lines, start = inspect.getsourcelines(witness._validate)
+    if check is None:
+        want = start + len(lines) - 1
+    else:
+        (at,) = [start + i for i, line in enumerate(lines) if check in line]
+        want = at + 1
+    assert lines[want - start].strip() == "return False"
+    assert _rejecting_line(w, replace(trace, **changes(trace))) == want
+
+
+def test_unknown_member_kind_raises_value_error():
+    bogus = FamilyId("bogus", 1, 1)
+    with pytest.raises(ValueError, match="unknown family member kind"):
+        str(bogus)
+    with pytest.raises(ValueError, match="unknown family member kind"):
+        find_family_member((0, 1, 0, 1), bogus)
+    with pytest.raises(ValueError, match="unknown family member kind"):
+        base_pattern(bogus)
 
 
 def test_threshold_boundary_repeat_counts():

@@ -147,6 +147,11 @@ def test_occurrences_by_value_partitions_positions(w):
         assert all(w[i - 1] == v for i in ps)
 
 
+@given(words)
+def test_occurrences_by_value_lists_values_in_first_occurrence_order(w):
+    assert list(occurrences_by_value(w)) == list(dict.fromkeys(w))
+
+
 def test_is_inversion_sequence():
     assert is_inversion_sequence((0, 0, 2, 1, 3, 5))
     assert is_inversion_sequence(())
