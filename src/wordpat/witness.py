@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .monotone import NONDECREASING, es_extract
-from .patterns import Direction, FamilyId, contains_constant, base_pattern
+from .patterns import _KINDS, Direction, FamilyId, contains_constant, base_pattern
 from .words import (
     InvalidOccurrence,
     InvariantViolation,
@@ -231,6 +231,8 @@ def validate_trace(w, trace: WitnessTrace) -> bool:
 def _validate(w: Word, tr: WitnessTrace) -> bool:
     n, k, fid = tr.n, tr.k, tr.family
     if n < 1 or k < 1 or fid.n != n or fid.k != k:
+        return False
+    if fid.kind not in _KINDS:
         return False
     if standardise(subword(w, tr.occurrence)) != base_pattern(fid):
         return False

@@ -218,3 +218,115 @@ def staircase_by_all_groups(w, n, mult, e):
             return tuple(p for i in chain for p in groups[i][1])
         chains.append(chain)
     return None
+
+
+# --- Chain levels: x y x y checked pair by pair ------------------------------
+#
+# The library sweeps the word once, keeping the latest position of each
+# recurring value in a sorted list.  This restricts the word to each pair
+# of values and matches x y x y in it directly.
+
+
+def _holds_xyxy(w, occ, x, y):
+    """True iff ``w`` restricted to {x, y} has x y x y as a subsequence."""
+    restricted = [w[p - 1] for p in sorted(occ[x] + occ[y])]
+    want = (x, y, x, y)
+    matched = 0
+    for c in restricted:
+        if c == want[matched]:
+            matched += 1
+            if matched == 4:
+                return True
+    return False
+
+
+def xyxy_chain_levels(w):
+    """Each value's chain level, listed by rising value: the most values
+    v_0 < v_1 < ... from it such that w restricted to {v_t, v_t+1} holds
+    x y x y, as the longest path from it over rising values."""
+    w = tuple(w)
+    occ = _positions_by_value(w)
+    values = sorted(occ)
+    levels = {}
+    for i in range(len(values) - 1, -1, -1):
+        x = values[i]
+        levels[x] = 1 + max(
+            (levels[y] for y in values[i + 1 :] if _holds_xyxy(w, occ, x, y)), default=0
+        )
+    return [levels[v] for v in values]
+
+
+# --- Double runs: longest chains over every occurrence pair ------------------
+#
+# Each value contributes every pair (p, q) of its positions with p < q.
+# Plain quadratic dynamic programming over those pairs, sorted by value:
+# no Pareto front, no pivot, no window, no bound.
+
+
+def _pairs_by_value(w):
+    """(value, p, q) for every two positions p < q of one value, by value."""
+    return [
+        (v, p, q)
+        for v, ps in sorted(_positions_by_value(w).items())
+        for i, p in enumerate(ps)
+        for q in ps[i + 1 :]
+    ]
+
+
+def _ascending_by_pair_chains(w, n):
+    # p_0 < ... < p_n < q_0 < ... < q_n: a chain of pairs rising in value,
+    # p and q.  least[L][i] is the least last p of an L+1-pair chain that
+    # starts at pair i, and nxt[L][i] its second pair; a pair (p_0, q_0)
+    # starts an occurrence iff least[n][i] < q_0.
+    pairs = _pairs_by_value(w)
+    least = [[p for _, p, _ in pairs]] + [[None] * len(pairs) for _ in range(n)]
+    nxt = [[None] * len(pairs) for _ in range(n + 1)]
+    for i in range(len(pairs) - 1, -1, -1):
+        v, p, q = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            u, pp, qq = pairs[j]
+            if u > v and pp > p and qq > q:
+                for length in range(1, n + 1):
+                    end = least[length - 1][j]
+                    if end is not None and (least[length][i] is None or end < least[length][i]):
+                        least[length][i] = end
+                        nxt[length][i] = j
+    for i, (_, p, q) in enumerate(pairs):
+        end = least[n][i]
+        if end is not None and end < q:
+            chain = [i]
+            for length in range(n, 0, -1):
+                chain.append(nxt[length][chain[-1]])
+            return tuple(pairs[j][1] for j in chain) + tuple(pairs[j][2] for j in chain)
+    return None
+
+
+def _nested_by_pair_chains(w, n):
+    # p_n < ... < p_0 < q_0 < ... < q_n: a chain of pairs rising in value
+    # and q, falling in p.  longest[i] is the most pairs of a chain that
+    # ends, outermost, at pair i, and before[i] the pair inside it.
+    pairs = _pairs_by_value(w)
+    longest = [1] * len(pairs)
+    before = [None] * len(pairs)
+    for i, (v, p, q) in enumerate(pairs):
+        for j in range(i):
+            u, pp, qq = pairs[j]
+            if u < v and pp > p and qq < q and longest[j] + 1 > longest[i]:
+                longest[i] = longest[j] + 1
+                before[i] = j
+        if longest[i] == n + 1:
+            chain = [i]
+            while before[chain[-1]] is not None:
+                chain.append(before[chain[-1]])
+            return tuple(pairs[j][1] for j in chain) + tuple(pairs[j][2] for j in reversed(chain))
+    return None
+
+
+def double_run_by_pair_chains(w, n, e1, e2):
+    """Double-run occurrence with runs oriented ``e1``, ``e2`` ("id" or "rev"),
+    from longest chains over all occurrence pairs."""
+    w = tuple(w)
+    complement = tuple(max(w, default=0) - v for v in w)
+    if e1 == e2:
+        return _ascending_by_pair_chains(w if e1 == "id" else complement, n)
+    return _nested_by_pair_chains(w if e1 == "rev" else complement, n)

@@ -6,7 +6,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_contains, double_run_by_all_pairs, staircase_by_all_groups
+from oracles import (
+    brute_contains,
+    double_run_by_all_pairs,
+    double_run_by_pair_chains,
+    staircase_by_all_groups,
+    xyxy_chain_levels,
+)
 from wordpat import patterns
 from wordpat.construction import build, verify, verify_q_lemma
 from wordpat.patterns import (
@@ -107,6 +113,17 @@ def test_family_k1_coincidence(n):
     base = [p for _, p in family(n, 1)]
     mult = [p for _, p in family_mult(n, 1)]
     assert base[1:3] == mult[0:2]
+
+
+def test_family_lists_are_fresh_per_call():
+    base = family(1, 1)
+    base.clear()
+    assert len(family(1, 1)) == 7
+    balanced = family_mult(1, 1)
+    balanced.pop()
+    assert len(family_mult(1, 1)) == 6
+    # The member list contains_any_family walks is untouched as well.
+    assert contains_any_family((0, 1, 0, 1), 1, 1)[0] == FamilyId("double_run", 1, 1, ID, ID)
 
 
 def test_family_rejects_bad_parameters():
@@ -334,6 +351,13 @@ DOUBLE_RUN_HOSTS = [
         (f"build(3,2).s swapped {m} seed={seed}", _swapped_word(seed, build(3, 2).s, m), 3, None)
         for m, seed in ((40, 2), (200, 1))
     ),
+    # The chain levels are built, and a (rev,rev) run found after that.
+    (
+        "build(3,1).s swapped 8 seed=5",
+        _swapped_word(5, build(3, 1).s, 8),
+        3,
+        {(ID, REV), (REV, ID), (REV, REV)},
+    ),
     # The pivot (1, 4) passes the bound on 1 < 2 at positions 2 < 3, but
     # their later occurrences 6 > 5 run the wrong way: no (id,id) chain.
     ("pivot passes, no chain", (0, 1, 2, 0, 2, 1), 2, set()),
@@ -376,6 +400,173 @@ def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
         assert (occ is None) == (ref is None), (e, occ, ref)
         if occ is not None:
             assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e, e))
+
+
+def _library_crossings(w, e):
+    occ = _Host(w).oriented(e).occ()
+    ranks = [0] * (len(w) + 1)
+    for v, ps in enumerate(occ):
+        for p in ps:
+            ranks[p] = v
+    return patterns._crossings(occ, ranks, [ps[-1] for ps in occ])
+
+
+def _library_levels(w, e):
+    # The crossings swept in either orientation serve both.
+    crossings = _library_crossings(w, ID)
+    assert _library_crossings(w, REV) == crossings
+    return patterns._chain_levels(_Host(w).oriented(e).occ(), crossings, len(w) + 1)
+
+
+def _assert_levels_match_xyxy_reference(w):
+    complement = tuple(max(w, default=0) - v for v in w)
+    assert _library_levels(w, ID) == xyxy_chain_levels(w)
+    assert _library_levels(w, REV) == xyxy_chain_levels(complement)
+
+
+@pytest.mark.parametrize(
+    "w", [h[1] for h in DOUBLE_RUN_HOSTS], ids=[h[0] for h in DOUBLE_RUN_HOSTS]
+)
+def test_chain_levels_match_xyxy_reference_on_hosts(w):
+    _assert_levels_match_xyxy_reference(w)
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=9).flatmap(
+        lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
+    )
+)
+def test_chain_levels_match_xyxy_reference(w):
+    _assert_levels_match_xyxy_reference(tuple(w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_construction_chain_levels_reach_exactly_n(n):
+    # So every pivot value of a construction word is rejected once the
+    # levels stand.
+    for e in DIRS:
+        assert max(_library_levels(build(n, 1).s, e)) == n
+
+
+def _count_level_builds(monkeypatch):
+    # One sweep of the word builds the levels of both orientations.
+    counts = Counter()
+    crossings = patterns._crossings
+
+    def counting_crossings(*args):
+        swept = crossings(*args)
+        counts["built"] += 1
+        return swept
+
+    monkeypatch.setattr(patterns, "_crossings", counting_crossings)
+    return counts
+
+
+# Label -> the orientations whose ascending search builds the chain levels.
+LEVELS_BUILT = {
+    "build(3,1).s": {ID, REV},
+    "build(3,1).q": {ID, REV},
+    "build(3,2).s swapped 40 seed=2": {ID, REV},
+    "build(3,2).s swapped 200 seed=1": {ID},
+    "build(3,1).s swapped 8 seed=5": {ID, REV},
+}
+LEVEL_BUILD_HOSTS = [
+    h for h in DOUBLE_RUN_HOSTS if h[0] in LEVELS_BUILT or h[0].startswith(("sorted", "uniform"))
+]
+
+
+@pytest.mark.parametrize(
+    "label, w, n, present", LEVEL_BUILD_HOSTS, ids=[h[0] for h in LEVEL_BUILD_HOSTS]
+)
+def test_chain_levels_are_built_once_the_scan_budget_is_spent(monkeypatch, label, w, n, present):
+    counts = _count_level_builds(monkeypatch)
+    for e in DIRS:
+        counts.clear()
+        found = contains_double_run(w, n, e, e)
+        assert counts["built"] == (e in LEVELS_BUILT.get(label, ())), e
+        if present is not None:
+            assert (found is not None) == ((e, e) in present), e
+
+
+@pytest.mark.parametrize("first", DIRS)
+def test_one_sweep_serves_both_orientations_of_a_host(monkeypatch, first):
+    counts = _count_level_builds(monkeypatch)
+    host = _Host(build(3, 1).s)
+    for e in (first, first.flip()):
+        assert find_family_member(host, FamilyId("double_run", 3, 1, e, e)) is None
+    assert counts["built"] == 1
+
+
+def test_no_construction_pivot_is_scanned_once_the_levels_stand(monkeypatch):
+    # Each letter the pivot scan admits costs one bisection; on a
+    # construction word every pivot value's level is at most n, so after
+    # the levels are built no letter is admitted.
+    counts = _count_level_builds(monkeypatch)
+    bisect_left = patterns.bisect_left
+
+    def counting_bisect_left(*args):
+        counts["after levels" if counts["built"] else "before levels"] += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr(patterns, "bisect_left", counting_bisect_left)
+    for e in DIRS:
+        counts.clear()
+        assert contains_double_run(build(3, 1).s, 3, e, e) is None
+        assert counts["built"] == 1
+        assert counts["before levels"] > 0
+        assert counts["after levels"] == 0
+
+
+def _assert_matches_pair_chains(w, n):
+    for e1 in DIRS:
+        for e2 in DIRS:
+            pattern = standardise(double_run_pattern(n, e1, e2))
+            occ = contains_double_run(w, n, e1, e2)
+            ref = double_run_by_pair_chains(w, n, str(e1), str(e2))
+            assert (occ is None) == (ref is None), (e1, e2, occ, ref)
+            for found in (occ, ref):
+                if found is not None:
+                    assert standardise(subword(w, found)) == pattern
+
+
+# (label, word, n): construction words the pair-chain reference runs on
+# in tier-1; build(4,1).s takes it seconds and is marked slow below.
+PAIR_CHAIN_HOSTS = [
+    *((f"build({n},1).{part}", getattr(build(n, 1), part), n) for n in (1, 2, 3) for part in "qs"),
+    *((f"build(2,{k}).s", build(2, k).s, 2) for k in (2, 3)),
+    *(
+        (f"build(2,2).s swapped 20 seed={seed}", _swapped_word(seed, build(2, 2).s, 20), 2)
+        for seed in (1, 2)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "w, n", [h[1:] for h in PAIR_CHAIN_HOSTS], ids=[h[0] for h in PAIR_CHAIN_HOSTS]
+)
+def test_double_run_checkers_match_pair_chain_reference_on_construction_words(w, n):
+    _assert_matches_pair_chains(w, n)
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=7).flatmap(
+        lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_double_run_checkers_match_pair_chain_reference(w, n):
+    _assert_matches_pair_chains(tuple(w), n)
+
+
+@pytest.mark.slow
+def test_verify_4_1_double_runs_absent_by_pair_chains():
+    # All four double runs over 5 values are absent from the 8192-letter
+    # construction word, by an argument sharing no cut with the library.
+    s = build(4, 1).s
+    for e1 in DIRS:
+        for e2 in DIRS:
+            assert double_run_by_pair_chains(s, 4, str(e1), str(e2)) is None
+            assert contains_double_run(s, 4, e1, e2) is None
 
 
 # (label, word, n, group size): hosts where the staircase search keeps

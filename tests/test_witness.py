@@ -307,6 +307,8 @@ REJECTIONS = [
      lambda tr: dict(branch="doubled_monotone", family=_member("doubled_monotone", ID),
                      occurrence=(5, 6, 7, 8), block_picks=(0,)),
      "if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:"),
+    ("unknown member kind", DR_WORD, lambda tr: dict(family=FamilyId("bogus", 1, 1)),
+     "if fid.kind not in _KINDS:"),
     ("unknown branch", DR_WORD, lambda tr: dict(branch="bogus"), None),
 ]
 
