@@ -294,7 +294,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuardExceeded, InsufficientRepeats, ValueError) as exc:
+    except GuardExceeded as exc:
+        override = "pass a larger --guard or set REPEATS_GUARD to override"
+        print(f"error: {exc.args[0]}; {override}", file=sys.stderr)
+        return 1
+    except (InsufficientRepeats, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

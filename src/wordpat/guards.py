@@ -2,12 +2,13 @@
 
 
 class GuardExceeded(ValueError):
-    """Requested instance is larger than the configured guard allows."""
+    """Requested instance is larger than the configured guard allows;
+    ``args[0]`` says by how much, without the advice on overriding it."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}; pass a larger guard argument to override"
 
 
 def check_guard(size: int, guard: int, what: str) -> None:
     if size > guard:
-        raise GuardExceeded(
-            f"{what} has size {size}, above the guard {guard}; "
-            "pass a larger guard or set REPEATS_GUARD to override"
-        )
+        raise GuardExceeded(f"{what} has size {size}, above the guard {guard}")

@@ -37,19 +37,20 @@ of v_0 to the next, so each letter is scanned once per v_0; a letter
 admitted under an earlier, smaller q_0 need not occur after the current
 one, so the carried length bounds the exact one from above.
 
-A pivot value must also pass a chain-level bound, built only after a
+A pivot value must also pass a chain-level bound.  The level of v is
+the most values in a chain v = v_0 < v_1 < ... where the word restricted
+to {v_t, v_t+1} holds x y x y.  An ascending run has p_t < p_t+1 < q_t <
+q_t+1, so its values form such a chain, and a pivot value of level at
+most n is skipped: no occurrence is lost.  One sweep keeps the latest
+position of each value that occurs again in a sorted list; at a repeat
+q of v, dropping v's previous position leaves after it one position per
+value crossing v there.  These are positions, so the crossings listed by
+one orientation's rank serve the other reversed, and a pass from the top
+rank down takes each orientation's levels.  They are built only after a
 call's pivot scan has read 8 letters per host letter, so short words and
-words with an early chain never pay for it, and then at most once per
-host, for both orientations.  The level of v is the most values in a
-chain v = v_0 < v_1 < ... where the word restricted to {v_t, v_t+1}
-holds x y x y.  An ascending run has p_t < p_t+1 < q_t < q_t+1, so its
-values form such a chain, and a pivot value of level at most n is
-skipped: no occurrence is lost.  One sweep
-keeps the latest position of each value that occurs again in a sorted
-list; at a repeat q of v, dropping v's previous position leaves after it
-one position per value crossing v there.  These hold positions, not
-ranks, so one sweep serves both orientations, and a pass from the top
-rank down takes each orientation's levels.  On construction words no
+words with an early chain never pay for them.  Then both orientations'
+levels are kept, each on its oriented host, and a later ascending call
+on either orientation reads them at once.  On construction words no
 pivot value exceeds level n, so once the levels stand no window is
 scanned.
 
@@ -163,9 +164,11 @@ class _Host:
     The index lists each value's positions in rising value order, so the
     searches address a value by its rank.  The value complement reverses
     the ranks: its host is the same word with this index reversed.  Each
-    part is built on first use, so one check builds only what its
-    checker reads.  Checkers never modify the index lists, which the
-    complement shares.
+    host also keeps the chain levels of its own orientation, which
+    ``_chain_levels`` sets on both at once, so a later ascending call on
+    either reads them at once.  Each part is built on first use, so one
+    check builds only what its checker reads.  Checkers never modify the
+    index lists, which the complement shares.
     """
 
     __slots__ = ("word", "_occ", "_complement", "_levels")
@@ -174,7 +177,7 @@ class _Host:
         self.word: Word = tuple(w)
         self._occ = occ
         self._complement: _Host | None = None
-        self._levels: dict[Direction, list[int]] | None = None
+        self._levels: list[int] | None = None
 
     def occ(self) -> list[list[int]]:
         if self._occ is None:
@@ -190,19 +193,6 @@ class _Host:
         if self._complement is None:
             self._complement = _Host(self.word, self.occ()[::-1])
         return self._complement
-
-    def chain_levels(
-        self, occ: list[list[int]], w: list[int], last: list[int]
-    ) -> dict[Direction, list[int]]:
-        """Each orientation's chain levels, from one sweep of the word as
-        ``occ``, ``w`` and ``last`` give it in either orientation; the
-        crossings it finds hold positions, so they serve both."""
-        if self._levels is None:
-            crossings = _crossings(occ, w, last)
-            self._levels = {
-                e: _chain_levels(self.oriented(e).occ(), crossings, len(w)) for e in Direction
-            }
-        return self._levels
 
 
 def _prepare(w, n: int, mult: int = 1) -> _Host:
@@ -356,12 +346,13 @@ def _double_run_ascending(
         for p in ps:
             w[p] = v
         last.append(ps[-1])
-    levels = None
-    unread = _SCAN_BEFORE_LEVELS * len(host.word)
+    # Levels an earlier call set are read at once.
+    levels = host.oriented(e)._levels
+    unread = -1 if levels is not None else _SCAN_BEFORE_LEVELS * len(host.word)
     for v0 in range(len(occ) - n):
         if unread < 0:
             if levels is None:
-                levels = host.chain_levels(occ, w, last)[e]
+                levels = _chain_levels(host, e, w, last)
             if levels[v0] <= n:
                 continue
         ps0 = occ[v0]
@@ -396,11 +387,10 @@ def _double_run_ascending(
     return None
 
 
-def _crossings(occ: list[list[int]], w: list[int], last: list[int]) -> dict[int, list[int]]:
-    """Per value, keyed by its first position, one position of each value
-    crossing it: occurring between two consecutive occurrences of it and
-    again after the second.  Keyed and filled by position, so it is the
-    same for both orientations of the word.
+def _crossings(w: list[int], last: list[int]) -> list[list[int]]:
+    """Per rank, one position of each value crossing it: occurring between
+    two consecutive occurrences of it and again after the second.  These
+    are positions, so reversed the list serves the other orientation.
 
     ``w`` is the 1-based rank word and ``last`` each rank's last position.
     """
@@ -408,8 +398,8 @@ def _crossings(occ: list[list[int]], w: list[int], last: list[int]) -> dict[int,
     # again.  At a repeat q of v, the entries after v's previous
     # occurrence are one per value that occurs since then and after q.
     recurring: list[int] = []
-    crossing: list[list[int]] = [[] for _ in occ]
-    prev = [0] * len(occ)
+    crossing: list[list[int]] = [[] for _ in last]
+    prev = [0] * len(last)
     for q in range(1, len(w)):
         v = w[q]
         p = prev[v]
@@ -420,24 +410,27 @@ def _crossings(occ: list[list[int]], w: list[int], last: list[int]) -> dict[int,
         if q < last[v]:
             recurring.append(q)
             prev[v] = q
-    return {ps[0]: c for ps, c in zip(occ, crossing)}
+    return crossing
 
 
-def _chain_levels(occ: list[list[int]], crossings: dict[int, list[int]], size: int) -> list[int]:
-    """Each rank's chain level: the most values v_0 < v_1 < ... from it
-    such that the word restricted to {v_t, v_t+1} holds x y x y.
-
-    ``size`` bounds the positions, which are below it.
+def _chain_levels(host: _Host, e: Direction, w: list[int], last: list[int]) -> list[int]:
+    """Set each orientation's chain levels on its oriented host, from one
+    sweep of the word as ``w`` and ``last`` give it oriented by ``e``;
+    returns e's.  The level of a rank is the most values v_0 < v_1 < ...
+    from it such that the word restricted to {v_t, v_t+1} holds x y x y.
     """
-    # From the top rank down; positions of lower ranks still read 0.
-    at = [0] * size
-    levels = [0] * len(occ)
-    for v in range(len(occ) - 1, -1, -1):
-        ps = occ[v]
-        level = levels[v] = 1 + max(map(at.__getitem__, crossings[ps[0]]), default=0)
-        for p in ps:
-            at[p] = level
-    return levels
+    crossings = _crossings(w, last)
+    for f, crossing in ((e, crossings), (e.flip(), crossings[::-1])):
+        oriented = host.oriented(f)
+        occ = oriented.occ()
+        # From the top rank down; positions of lower ranks still read 0.
+        at = [0] * len(w)
+        levels = oriented._levels = [0] * len(occ)
+        for v in range(len(occ) - 1, -1, -1):
+            level = levels[v] = 1 + max(map(at.__getitem__, crossing[v]), default=0)
+            for p in occ[v]:
+                at[p] = level
+    return host.oriented(e)._levels
 
 
 def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:

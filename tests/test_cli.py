@@ -181,7 +181,10 @@ def test_guard_flag_and_env(capsys, monkeypatch):
 def test_verify_guard_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--n", "2", "--guard", "10")
     assert code == 1
-    assert "guard" in err
+    assert err == (
+        "error: verification word for n=2, k=1 has size 128, above the guard 10; "
+        "pass a larger --guard or set REPEATS_GUARD to override\n"
+    )
 
 
 def test_usage_errors(capsys, monkeypatch):

@@ -179,9 +179,16 @@ def test_max_monotone_of_r(n, k):
     assert report.nonincreasing == longest_nonincreasing_len(r)
 
 
-def test_verify_guard():
-    with pytest.raises(GuardExceeded):
+def test_verify_guard(monkeypatch):
+    # The environment override is the CLI's; the library names only its
+    # guard argument.
+    monkeypatch.setenv("REPEATS_GUARD", "10000000")
+    with pytest.raises(GuardExceeded) as exc:
         verify(7, 1)  # length 235298 over the default guard
+    assert str(exc.value) == (
+        "verification word for n=7, k=1 has size 235298, above the guard 100000; "
+        "pass a larger guard argument to override"
+    )
     with pytest.raises(GuardExceeded):
         verify(2, 1, guard=10)
     with pytest.raises(GuardExceeded):

@@ -1,5 +1,6 @@
 """Unavoidable-pattern families and the specialized containment checkers."""
 
+import gc
 import random
 from collections import Counter
 
@@ -13,6 +14,7 @@ from oracles import (
     staircase_by_all_groups,
     xyxy_chain_levels,
 )
+from wordgen import word_with_repeats
 from wordpat import patterns
 from wordpat.construction import build, verify, verify_q_lemma
 from wordpat.patterns import (
@@ -33,6 +35,7 @@ from wordpat.patterns import (
     run_pattern,
     base_pattern,
 )
+from wordpat.witness import extract_witness
 from wordpat.words import occurrences_by_value, reverse, standardise, subword
 
 ID, REV = Direction.ID, Direction.REV
@@ -402,20 +405,30 @@ def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
             assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e, e))
 
 
-def _library_crossings(w, e):
-    occ = _Host(w).oriented(e).occ()
-    ranks = [0] * (len(w) + 1)
+def _rank_word(occ, size):
+    # The 1-based rank word and each rank's last position.
+    ranks = [0] * (size + 1)
     for v, ps in enumerate(occ):
         for p in ps:
             ranks[p] = v
-    return patterns._crossings(occ, ranks, [ps[-1] for ps in occ])
+    return ranks, [ps[-1] for ps in occ]
+
+
+def _library_crossings(w, e):
+    return patterns._crossings(*_rank_word(_Host(w).oriented(e).occ(), len(w)))
 
 
 def _library_levels(w, e):
-    # The crossings swept in either orientation serve both.
-    crossings = _library_crossings(w, ID)
-    assert _library_crossings(w, REV) == crossings
-    return patterns._chain_levels(_Host(w).oriented(e).occ(), crossings, len(w) + 1)
+    # The crossings swept in either orientation serve both, reversed.
+    assert _library_crossings(w, REV) == _library_crossings(w, ID)[::-1]
+    levels = []
+    for sweep in DIRS:
+        host = _Host(w)
+        swept = patterns._chain_levels(host, sweep, *_rank_word(host.oriented(sweep).occ(), len(w)))
+        assert swept is host.oriented(sweep)._levels
+        levels.append(host.oriented(e)._levels)
+    assert levels[0] == levels[1]
+    return levels[0]
 
 
 def _assert_levels_match_xyxy_reference(w):
@@ -517,6 +530,54 @@ def test_no_construction_pivot_is_scanned_once_the_levels_stand(monkeypatch):
         assert counts["after levels"] == 0
 
 
+@pytest.mark.parametrize("first", DIRS)
+def test_a_later_ascending_call_reads_the_levels_at_once(monkeypatch, first):
+    # The first call sets the levels of both orientations; the second
+    # admits no letter to its pivot scan, so it makes no bisection.
+    host = _Host(build(3, 1).s)
+    assert find_family_member(host, FamilyId("double_run", 3, 1, first, first)) is None
+    counts = _count_level_builds(monkeypatch)
+    bisect_left = patterns.bisect_left
+
+    def counting_bisect_left(*args):
+        counts["bisections"] += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr(patterns, "bisect_left", counting_bisect_left)
+    second = first.flip()
+    assert find_family_member(host, FamilyId("double_run", 3, 1, second, second)) is None
+    assert counts == Counter()
+
+
+def _every_member_then_both_ascending_again():
+    host = _Host(build(3, 1).s)
+    for fid, _ in family(3, 1):
+        find_family_member(host, fid)
+    for e in DIRS:
+        find_family_member(host, FamilyId("double_run", 3, 1, e, e))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify(3, 1),
+        lambda: contains_any_family(build(3, 1).s, 3, 1),
+        _every_member_then_both_ascending_again,
+        lambda: extract_witness(word_with_repeats(random.Random(3), 65, 1), 2, 1),
+    ],
+    ids=["verify", "contains_any_family", "shared host", "extract_witness"],
+)
+def test_checks_leave_no_reference_cycles(call):
+    # A cycle would keep every host alive until the cyclic collector ran.
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _assert_matches_pair_chains(w, n):
     for e1 in DIRS:
         for e2 in DIRS:
@@ -556,6 +617,37 @@ def test_double_run_checkers_match_pair_chain_reference_on_construction_words(w,
 )
 def test_double_run_checkers_match_pair_chain_reference(w, n):
     _assert_matches_pair_chains(tuple(w), n)
+
+
+def _falling_window_word(m):
+    # 0 d_1 0 d_2 ... 0 d_m 0 d_1 ... d_m with d_i = m + 1 - i.  One letter
+    # stands between consecutive 0s and those fall, so no pivot of 0
+    # passes the patience bound at n = 2; no pivot of a d_i does either,
+    # since no larger value recurs after it.
+    d = range(m, 0, -1)
+    return tuple(x for v in d for x in (0, v)) + (0, *d)
+
+
+def test_patience_bound_rejects_every_pivot_of_a_falling_window(monkeypatch):
+    # Without the bound each pivot of 0 would grow chains over every d
+    # before it, and the levels would be built only after that.
+    calls = Counter()
+    grow = patterns._grow
+
+    def counting_grow(*args):
+        calls["grow"] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(patterns, "_grow", counting_grow)
+    assert contains_double_run(_falling_window_word(200), 2, ID, ID) is None
+    assert calls["grow"] == 0
+
+
+@pytest.mark.parametrize("m", [2, 5, 9])
+def test_falling_window_word_matches_pair_chain_reference(m):
+    w = _falling_window_word(m)
+    assert double_run_by_pair_chains(w, 2, "id", "id") is None
+    _assert_matches_pair_chains(w, 2)
 
 
 @pytest.mark.slow
