@@ -13,7 +13,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .guards import check_guard
+from .guards import GuardExceeded, check_guard
 from .patterns import _Host, family, family_mult, find_family_member
 from .words import Word
 
@@ -29,54 +29,42 @@ def enumerate_cayley(length: int, guard: int = 10) -> Iterator[Word]:
     return _cayley_words(length)
 
 
-def _cayley_words(length: int) -> Iterator[Word]:
-    if length == 0:
-        yield ()
+def _cayley_words(length: int, prefix: Word = (), top: int = -1) -> Iterator[Word]:
+    # Depth first in lexicographic order; ``top`` is the largest letter
+    # of ``prefix``.  A letter is tried only if the letters up to the new
+    # top still missing after it fit in the positions left, so every
+    # branch ends in a word; letters from distinct + rem on never fit.
+    # Last letters are yielded here rather than through one more generator.
+    rem = length - len(prefix)
+    if rem == 0:
+        yield prefix
         return
-    prefix: list[int] = []
-    used: set[int] = set()
+    distinct = len(set(prefix))
+    for c in range(distinct + rem):
+        new_top = c if c > top else top
+        if new_top - distinct - (c not in prefix) < rem - 1:
+            if rem == 1:
+                yield prefix + (c,)
+            else:
+                yield from _cayley_words(length, prefix + (c,), new_top)
 
-    def rec(top: int) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield tuple(prefix)
+
+def _arrangements(letters: list[int]) -> Iterator[Word]:
+    # Lexicographic permutations of the multiset ``letters``: the
+    # standard next-permutation step from the sorted order.
+    a = sorted(letters)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        rem = length - len(prefix)
-        for c in range(length):
-            new_top = c if c > top else top
-            missing = (new_top + 1) - (len(used) + (c not in used))
-            # Letters below the running maximum must still be coverable.
-            if missing > rem - 1:
-                continue
-            fresh = c not in used
-            prefix.append(c)
-            if fresh:
-                used.add(c)
-            yield from rec(new_top)
-            if fresh:
-                used.remove(c)
-            prefix.pop()
-
-    yield from rec(-1)
-
-
-def _arrangements(counts: list[int]) -> Iterator[Word]:
-    # Lexicographic multiset permutations over values 1..len(counts).
-    total = sum(counts)
-    seq: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for v in range(len(counts)):
-            if counts[v] > 0:
-                counts[v] -= 1
-                seq.append(v + 1)
-                yield from rec()
-                seq.pop()
-                counts[v] += 1
-
-    yield from rec()
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word]:
@@ -84,9 +72,7 @@ def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word
     if values < 0 or mult < 1:
         raise ValueError(f"need values >= 0 and mult >= 1, got {values}, {mult}")
     check_guard(values * mult, guard, "balanced word enumeration")
-    if values == 0:
-        return iter([()])
-    return _arrangements([mult] * values)
+    return _arrangements([v for v in range(1, values + 1) for _ in range(mult)])
 
 
 def max_repeats_avoiding(
@@ -111,8 +97,11 @@ def max_repeats_avoiding(
             for c in counts:
                 size //= factorial(c)
             space += size
+            if space > guard:
+                raise GuardExceeded(
+                    f"avoidance search space has size at least {space}, above the guard {guard}"
+                )
             vectors.append(counts)
-    check_guard(space, guard, "avoidance search space")
     fam = family(n, k)
     best_r = 0
     best_w: Word | None = None
@@ -120,8 +109,7 @@ def max_repeats_avoiding(
         base = sum(counts) - len(counts)
         if base < best_r:
             continue
-        for arr in _arrangements(list(counts)):
-            word = tuple(v - 1 for v in arr)
+        for word in _arrangements([v for v, c in enumerate(counts) for _ in range(c)]):
             host = _Host(word)
             if any(find_family_member(host, fid) is not None for fid, _ in fam):
                 continue
@@ -141,10 +129,9 @@ def check_unavoidability_balanced(n: int, k: int, guard: int = 16) -> bool:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    values = n**6 + 1
-    check_guard(values * (k + 1), guard, "balanced enumeration word length")
+    words = enumerate_balanced(n**6 + 1, k + 1, guard=guard)  # guarded before fam is built
     fam = family_mult(n, k)
-    for word in enumerate_balanced(values, k + 1, guard=guard):
+    for word in words:
         host = _Host(word)
         if not any(
             find_family_member(host, fid, doubled_mult=k + 1) is not None

@@ -87,46 +87,45 @@ def contains(w, p) -> Occurrence | None:
     if not is_pattern(p):
         raise ValueError(f"not a standardised pattern: {p}")
     m = len(p)
-    if m > len(w):
-        return None
-
-    # bound[letter] = host value assigned to that pattern letter, or None.
+    # bound[letter] = host value assigned to that pattern letter, or None;
+    # chosen holds the 1-based positions matched so far, and fresh[t] says
+    # whether chosen[t] bound its letter.  Depth first, least position first.
     bound: list[int | None] = [None] * (max(p) + 1)
     chosen: list[int] = []
+    fresh: list[bool] = []
+    i = 0
+    while len(chosen) < m:
+        t = len(chosen)
+        letter = p[t]
+        last = len(w) - m + t
+        while i <= last and not _feasible(bound, letter, w[i]):
+            i += 1
+        if i <= last:
+            fresh.append(bound[letter] is None)
+            bound[letter] = w[i]
+            i += 1
+            chosen.append(i)
+        elif chosen:
+            i = chosen.pop()
+            if fresh.pop():
+                bound[p[t - 1]] = None
+        else:
+            return None
+    return tuple(chosen)
 
-    def feasible(letter: int, value: int) -> bool:
-        if bound[letter] is not None:
-            return bound[letter] == value
-        for other, ov in enumerate(bound):
-            if ov is None:
-                continue
-            if other < letter and ov >= value:
-                return False
-            if other > letter and ov <= value:
-                return False
-        return True
 
-    def search(t: int, start: int) -> bool:
-        if t == m:
-            return True
-        for i in range(start, len(w) - (m - t) + 1):
-            v = w[i]
-            letter = p[t]
-            if not feasible(letter, v):
-                continue
-            was_unbound = bound[letter] is None
-            bound[letter] = v
-            chosen.append(i + 1)
-            if search(t + 1, i + 1):
-                return True
-            chosen.pop()
-            if was_unbound:
-                bound[letter] = None
-        return False
-
-    if search(0, 0):
-        return tuple(chosen)
-    return None
+def _feasible(bound: list[int | None], letter: int, value: int) -> bool:
+    # Can pattern ``letter`` match host ``value`` beside the letters bound so far?
+    if bound[letter] is not None:
+        return bound[letter] == value
+    for other, ov in enumerate(bound):
+        if ov is None:
+            continue
+        if other < letter and ov >= value:
+            return False
+        if other > letter and ov <= value:
+            return False
+    return True
 
 
 def is_inversion_sequence(w) -> bool:

@@ -151,6 +151,21 @@ def test_oracle_balanced(capsys):
     assert (code, out) == (0, "12\n21\n")
 
 
+_COUNTING_WORD = " ".join(map(str, range(1200)))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["contains", _COUNTING_WORD, _COUNTING_WORD], "yes\n"),
+        (["oracle", "balanced", "--values", "1", "--mult", "1500", "--guard", "2000"], "1" * 1500 + "\n"),
+    ],
+    ids=["contains", "oracle balanced"],
+)
+def test_searches_run_past_the_recursion_limit(capsys, argv, expected):
+    assert run(capsys, *argv)[:2] == (0, expected)
+
+
 def test_oracle_max_repeats(capsys):
     code, out, _ = run(capsys, "oracle", "max-repeats", "--n", "1", "--k", "1", "--max-values", "3")
     assert (code, out) == (0, "max_repeats=1 witness=00\n")

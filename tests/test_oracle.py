@@ -1,13 +1,14 @@
 """Brute-force enumerators and tightness searches."""
 
 import random
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
 
 from oracles import brute_contains, ordered_bell
 from wordgen import word_with_repeats
+from wordpat import oracle
 from wordpat.construction import build
 from wordpat.guards import GuardExceeded
 from wordpat.oracle import (
@@ -86,6 +87,16 @@ def test_balanced_is_lexicographic():
     assert words == sorted(words)
 
 
+@pytest.mark.parametrize("values,mult", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 1)])
+def test_balanced_matches_permutation_scan(values, mult):
+    letters = [v for v in range(1, values + 1) for _ in range(mult)]
+    assert list(enumerate_balanced(values, mult)) == sorted(set(permutations(letters)))
+
+
+def test_balanced_enumerates_words_longer_than_the_recursion_limit():
+    assert next(enumerate_balanced(1, 1500, guard=2000)) == (1,) * 1500
+
+
 def test_max_repeats_avoiding_small_cases():
     assert max_repeats_avoiding(1, 1, 3) == (1, (0, 0))
     assert max_repeats_avoiding(1, 2, 2) == (2, (0, 0, 0))
@@ -135,6 +146,22 @@ def test_max_repeats_deterministic_and_guarded():
         max_repeats_avoiding(1, 0, 2)
     with pytest.raises(ValueError):
         max_repeats_avoiding(1, 1, -1)
+
+
+def test_max_repeats_guard_stops_before_walking_every_count_vector(monkeypatch):
+    # At k = 5 there are 5^12 count vectors of 12 values; the guard must
+    # refuse after the few whose sizes already pass it.
+    calls = 0
+
+    def counting_factorial(x):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "walked the count vectors past the guard"
+        return factorial(x)
+
+    monkeypatch.setattr(oracle, "factorial", counting_factorial)
+    with pytest.raises(GuardExceeded, match="at least"):
+        max_repeats_avoiding(1, 5, 12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -17,6 +17,7 @@ from oracles import (
 from wordgen import word_with_repeats
 from wordpat import patterns
 from wordpat.construction import build, verify, verify_q_lemma
+from wordpat.oracle import enumerate_balanced, enumerate_cayley, max_repeats_avoiding
 from wordpat.patterns import (
     Direction,
     _Host,
@@ -36,7 +37,7 @@ from wordpat.patterns import (
     base_pattern,
 )
 from wordpat.witness import extract_witness
-from wordpat.words import occurrences_by_value, reverse, standardise, subword
+from wordpat.words import contains, occurrences_by_value, reverse, standardise, subword
 
 ID, REV = Direction.ID, Direction.REV
 DIRS = (ID, REV)
@@ -564,8 +565,15 @@ def _every_member_then_both_ascending_again():
         lambda: contains_any_family(build(3, 1).s, 3, 1),
         _every_member_then_both_ascending_again,
         lambda: extract_witness(word_with_repeats(random.Random(3), 65, 1), 2, 1),
+        lambda: contains((0, 1, 0, 1), (0, 0)),
+        lambda: list(enumerate_cayley(5)),
+        lambda: list(enumerate_balanced(3, 2)),
+        lambda: max_repeats_avoiding(1, 1, 3),
     ],
-    ids=["verify", "contains_any_family", "shared host", "extract_witness"],
+    ids=[
+        "verify", "contains_any_family", "shared host", "extract_witness",
+        "contains", "enumerate_cayley", "enumerate_balanced", "max_repeats_avoiding",
+    ],
 )
 def test_checks_leave_no_reference_cycles(call):
     # A cycle would keep every host alive until the cyclic collector ran.
@@ -650,15 +658,24 @@ def test_falling_window_word_matches_pair_chain_reference(m):
     _assert_matches_pair_chains(w, 2)
 
 
-@pytest.mark.slow
-def test_verify_4_1_double_runs_absent_by_pair_chains():
-    # All four double runs over 5 values are absent from the 8192-letter
-    # construction word, by an argument sharing no cut with the library.
-    s = build(4, 1).s
+def _assert_double_runs_absent_by_pair_chains(n):
+    # All four double runs over n + 1 values are absent from build(n, 1).s,
+    # by an argument sharing no cut with the library.
+    s = build(n, 1).s
     for e1 in DIRS:
         for e2 in DIRS:
-            assert double_run_by_pair_chains(s, 4, str(e1), str(e2)) is None
-            assert contains_double_run(s, 4, e1, e2) is None
+            assert double_run_by_pair_chains(s, n, str(e1), str(e2)) is None
+            assert contains_double_run(s, n, e1, e2) is None
+
+
+@pytest.mark.slow
+def test_verify_4_1_double_runs_absent_by_pair_chains():
+    _assert_double_runs_absent_by_pair_chains(4)  # 8192 letters
+
+
+@pytest.mark.slow
+def test_verify_5_1_double_runs_absent_by_pair_chains():
+    _assert_double_runs_absent_by_pair_chains(5)  # 31 250 letters
 
 
 # (label, word, n, group size): hosts where the staircase search keeps

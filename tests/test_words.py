@@ -81,6 +81,11 @@ def test_contains_examples():
     assert contains((0,), (0,)) == (1,)
 
 
+def test_contains_matches_patterns_longer_than_the_recursion_limit():
+    assert contains(range(1200), range(1200)) == tuple(range(1, 1201))
+    assert contains(range(1200), range(1199, -1, -1)) is None
+
+
 def test_contains_rejects_bad_patterns():
     with pytest.raises(ValueError):
         contains((0, 1), ())
