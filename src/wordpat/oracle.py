@@ -29,24 +29,49 @@ def enumerate_cayley(length: int, guard: int = 10) -> Iterator[Word]:
     return _cayley_words(length)
 
 
-def _cayley_words(length: int, prefix: Word = (), top: int = -1) -> Iterator[Word]:
-    # Depth first in lexicographic order; ``top`` is the largest letter
-    # of ``prefix``.  A letter is tried only if the letters up to the new
-    # top still missing after it fit in the positions left, so every
-    # branch ends in a word; letters from distinct + rem on never fit.
-    # Last letters are yielded here rather than through one more generator.
-    rem = length - len(prefix)
-    if rem == 0:
-        yield prefix
+def _cayley_words(length: int) -> Iterator[Word]:
+    # Depth first in lexicographic order, over an explicit stack:
+    # ``word`` is the prefix, ``seen[c]`` how often c occurs in it, and
+    # ``tops[d]`` and ``nexts[d]`` the largest letter of its first d
+    # letters and the next letter to try after them.  A letter is tried
+    # only if the letters up to the new top still missing after it fit
+    # in the positions left, so every branch ends in a word; letters
+    # from distinct + rem on never fit.  Last letters are yielded at once
+    # rather than pushed.
+    if length == 0:
+        yield ()
         return
-    distinct = len(set(prefix))
-    for c in range(distinct + rem):
-        new_top = c if c > top else top
-        if new_top - distinct - (c not in prefix) < rem - 1:
-            if rem == 1:
-                yield prefix + (c,)
+    word: list[int] = []
+    seen = [0] * length
+    tops, nexts = [-1], [0]
+    distinct = 0
+    while nexts:
+        rem = length - len(word)
+        top, c = tops[-1], nexts[-1]
+        if rem == 1:
+            # Either every letter up to top occurs, and so may any up to
+            # a new one, or all but one, which must come last.
+            if distinct > top:
+                for c in range(distinct + 1):
+                    yield (*word, c)
             else:
-                yield from _cayley_words(length, prefix + (c,), new_top)
+                yield (*word, seen.index(0))
+        elif c < distinct + rem:
+            nexts[-1] = c + 1
+            new_top = c if c > top else top
+            if new_top - distinct - (not seen[c]) < rem - 1:
+                word.append(c)
+                distinct += not seen[c]
+                seen[c] += 1
+                tops.append(new_top)
+                nexts.append(0)
+            continue
+        # Every word from this prefix is out.
+        tops.pop()
+        nexts.pop()
+        if word:
+            seen[word[-1]] -= 1
+            distinct -= not seen[word.pop()]
 
 
 def _arrangements(letters: list[int]) -> Iterator[Word]:

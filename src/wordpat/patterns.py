@@ -169,6 +169,13 @@ class _Host:
     either reads them at once.  Each part is built on first use, so one
     check builds only what its checker reads.  Checkers never modify the
     index lists, which the complement shares.
+
+    A caller checking several members passes one host to each check.  A
+    raw tuple gets the host of ``_tuple_host``, so consecutive checks of
+    one tuple share its index, complement and levels too.  Two threads
+    sharing a host may each build a part, and the later one replaces the
+    earlier; the two are equal, and each part is set only once complete,
+    so at worst work is repeated.
     """
 
     __slots__ = ("word", "_occ", "_complement", "_levels")
@@ -195,11 +202,26 @@ class _Host:
         return self._complement
 
 
+# One slot: consecutive checks of one tuple share its host, and at most
+# one raw word is kept alive.  More slots would keep dropped words alive,
+# and a caller cycling through a few words, as a wpbench round does,
+# would hit across words: checks would then time a cache.  Equal tuples
+# may share a host, since it records positions only.
+@lru_cache(maxsize=1)
+def _tuple_host(w: Word) -> _Host:
+    return _Host(w)
+
+
 def _prepare(w, n: int, mult: int = 1) -> _Host:
-    """A raw word as a host, once the member parameters are checked."""
+    """A raw word as a host, once the member parameters are checked.
+
+    The host of a tuple is kept until the next raw tuple arrives; any
+    other word, a list say, may change between calls and gets a fresh
+    host each time.
+    """
     if n < 0 or mult < 1:
         raise ValueError(f"need n >= 0 and mult >= 1, got n={n}, mult={mult}")
-    return _Host(w)
+    return _tuple_host(w) if type(w) is tuple else _Host(w)
 
 
 def contains_constant(w, m: int) -> Occurrence | None:
@@ -420,17 +442,23 @@ def _chain_levels(host: _Host, e: Direction, w: list[int], last: list[int]) -> l
     from it such that the word restricted to {v_t, v_t+1} holds x y x y.
     """
     crossings = _crossings(w, last)
+    built = []
     for f, crossing in ((e, crossings), (e.flip(), crossings[::-1])):
         oriented = host.oriented(f)
         occ = oriented.occ()
         # From the top rank down; positions of lower ranks still read 0.
         at = [0] * len(w)
-        levels = oriented._levels = [0] * len(occ)
+        levels = [0] * len(occ)
         for v in range(len(occ) - 1, -1, -1):
             level = levels[v] = 1 + max(map(at.__getitem__, crossing[v]), default=0)
             for p in occ[v]:
                 at[p] = level
-    return host.oriented(e)._levels
+        # Set only once complete, and return e's list as built rather
+        # than read back: another thread may share this host and replace
+        # its complement meanwhile.
+        oriented._levels = levels
+        built.append(levels)
+    return built[0]
 
 
 def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:

@@ -53,6 +53,10 @@ def test_cayley_guard_and_validation():
     assert list(enumerate_cayley(0)) == [()]
 
 
+def test_cayley_enumerates_words_longer_than_the_recursion_limit():
+    assert next(enumerate_cayley(1200, guard=2000)) == (0,) * 1200
+
+
 def test_balanced_exact_small_cases():
     assert list(enumerate_balanced(2, 2)) == [
         (1, 1, 2, 2),

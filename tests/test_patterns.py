@@ -496,7 +496,9 @@ def test_chain_levels_are_built_once_the_scan_budget_is_spent(monkeypatch, label
     counts = _count_level_builds(monkeypatch)
     for e in DIRS:
         counts.clear()
-        found = contains_double_run(w, n, e, e)
+        # A fresh host each time: a shared one would hold the other
+        # orientation's levels.
+        found = find_family_member(_Host(w), FamilyId("double_run", n, 1, e, e))
         assert counts["built"] == (e in LEVELS_BUILT.get(label, ())), e
         if present is not None:
             assert (found is not None) == ((e, e) in present), e
@@ -525,7 +527,7 @@ def test_no_construction_pivot_is_scanned_once_the_levels_stand(monkeypatch):
     monkeypatch.setattr(patterns, "bisect_left", counting_bisect_left)
     for e in DIRS:
         counts.clear()
-        assert contains_double_run(build(3, 1).s, 3, e, e) is None
+        assert find_family_member(_Host(build(3, 1).s), FamilyId("double_run", 3, 1, e, e)) is None
         assert counts["built"] == 1
         assert counts["before levels"] > 0
         assert counts["after levels"] == 0
@@ -550,6 +552,24 @@ def test_a_later_ascending_call_reads_the_levels_at_once(monkeypatch, first):
     assert counts == Counter()
 
 
+def test_levels_are_set_only_once_complete(monkeypatch):
+    # A thread sharing the host would read a rank not yet filled as level
+    # 0 and skip its pivot value.
+    host = _Host(build(3, 1).s)
+    calls = Counter()
+
+    def checking_max(*args, **kwargs):
+        calls["max"] += 1
+        for oriented in (host, host._complement):
+            levels = None if oriented is None else oriented._levels
+            assert levels is None or 0 not in levels
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(patterns, "max", checking_max, raising=False)
+    assert find_family_member(host, FamilyId("double_run", 3, 1, ID, ID)) is None
+    assert calls["max"] > 0
+
+
 def _every_member_then_both_ascending_again():
     host = _Host(build(3, 1).s)
     for fid, _ in family(3, 1):
@@ -558,12 +578,22 @@ def _every_member_then_both_ascending_again():
         find_family_member(host, FamilyId("double_run", 3, 1, e, e))
 
 
+def _every_member_raw_then_both_ascending_again():
+    w = build(3, 1).s
+    for fid, _ in family(3, 1):
+        find_family_member(w, fid)
+    for e in DIRS:
+        contains_double_run(w, 3, e, e)
+    contains_double_run(list(w), 3, ID, ID)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: verify(3, 1),
         lambda: contains_any_family(build(3, 1).s, 3, 1),
         _every_member_then_both_ascending_again,
+        _every_member_raw_then_both_ascending_again,
         lambda: extract_witness(word_with_repeats(random.Random(3), 65, 1), 2, 1),
         lambda: contains((0, 1, 0, 1), (0, 0)),
         lambda: list(enumerate_cayley(5)),
@@ -571,7 +601,7 @@ def _every_member_then_both_ascending_again():
         lambda: max_repeats_avoiding(1, 1, 3),
     ],
     ids=[
-        "verify", "contains_any_family", "shared host", "extract_witness",
+        "verify", "contains_any_family", "shared host", "raw word", "extract_witness",
         "contains", "enumerate_cayley", "enumerate_balanced", "max_repeats_avoiding",
     ],
 )
@@ -590,10 +620,14 @@ def _assert_matches_pair_chains(w, n):
     for e1 in DIRS:
         for e2 in DIRS:
             pattern = standardise(double_run_pattern(n, e1, e2))
-            occ = contains_double_run(w, n, e1, e2)
+            # Raw calls share one kept host, so all but the first read
+            # levels swept before; a fresh host sweeps them in e1's order.
+            raw = contains_double_run(w, n, e1, e2)
+            fresh = find_family_member(_Host(w), FamilyId("double_run", n, 1, e1, e2))
             ref = double_run_by_pair_chains(w, n, str(e1), str(e2))
-            assert (occ is None) == (ref is None), (e1, e2, occ, ref)
-            for found in (occ, ref):
+            for occ in (raw, fresh):
+                assert (occ is None) == (ref is None), (e1, e2, occ, ref)
+            for found in (raw, fresh, ref):
                 if found is not None:
                     assert standardise(subword(w, found)) == pattern
 
@@ -741,6 +775,20 @@ def test_pareto_front_keeps_exactly_the_minimal_states(points):
     assert [state[:2] for state in front] == sorted(minimal)
 
 
+def _count_indexing(monkeypatch):
+    # Starts with no raw word kept, so no earlier test's word is reused.
+    patterns._tuple_host.cache_clear()
+    counts = Counter()
+    index = patterns.occurrences_by_value
+
+    def counting_index(w):
+        counts["index"] += 1
+        return index(w)
+
+    monkeypatch.setattr(patterns, "occurrences_by_value", counting_index)
+    return counts
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -751,24 +799,85 @@ def test_pareto_front_keeps_exactly_the_minimal_states(points):
     ids=["verify", "verify_q_lemma", "contains_any_family"],
 )
 def test_each_word_is_indexed_once_for_all_members(monkeypatch, check):
-    counts = Counter()
-    index, init = patterns.occurrences_by_value, _Host.__init__
-
-    def counting_index(w):
-        counts["index"] += 1
-        return index(w)
+    counts = _count_indexing(monkeypatch)
+    init = _Host.__init__
 
     def counting_init(self, w, occ=None):
         # Only a complement host is handed an index.
         counts["complement"] += occ is not None
         init(self, w, occ)
 
-    monkeypatch.setattr(patterns, "occurrences_by_value", counting_index)
     monkeypatch.setattr(_Host, "__init__", counting_init)
     # Every member is checked and none occurs.
     assert check()
     assert counts["index"] == 1
     assert counts["complement"] <= 1
+
+
+@pytest.mark.parametrize(
+    "w, n",
+    [(build(2, 1).s, 2), (_balanced_uniform_word(1, 12, 25), 2), (_sorted_word(40), 1)],
+    ids=["build(2,1).s", "uniform n=2", "sorted 2x40"],
+)
+def test_consecutive_raw_checks_of_one_tuple_index_it_once(monkeypatch, w, n):
+    counts = _count_indexing(monkeypatch)
+    for fid, _ in family(n, 1):
+        find_family_member(w, fid)
+    for e1 in DIRS:
+        contains_multiplied_monotone(w, n, 2, e1)
+        for e2 in DIRS:
+            contains_double_run(w, n, e1, e2)
+    assert counts["index"] == 1
+
+
+def test_a_different_tuple_in_between_indexes_again(monkeypatch):
+    counts = _count_indexing(monkeypatch)
+    u, v = _sorted_word(7), _balanced_uniform_word(1, 5, 4)
+    fid = FamilyId("double_run", 1, 1, ID, REV)
+    for w, indexed in ((u, 1), (u, 1), (v, 2), (u, 3), (tuple(list(u)), 3)):
+        find_family_member(w, fid)
+        # An equal tuple shares the host: it has the same positions.
+        assert counts["index"] == indexed, w
+
+
+def test_a_list_is_indexed_on_every_call(monkeypatch):
+    counts = _count_indexing(monkeypatch)
+    w = [0, 1, 0, 1]
+    fid = FamilyId("double_run", 1, 1, ID, ID)
+    assert find_family_member(w, fid) == (1, 2, 3, 4)
+    assert find_family_member(w, fid) == (1, 2, 3, 4)
+    assert counts["index"] == 2
+    w[3] = 0
+    assert find_family_member(w, fid) is None
+    assert contains_double_run(w, 1, ID, ID) is None
+    assert counts["index"] == 4
+
+
+def _raw_checks(w, n):
+    # (member, its check on the raw word): every member through
+    # find_family_member, and each double run through contains_double_run.
+    checks = [(fid, lambda fid=fid: find_family_member(w, fid)) for fid, _ in family(n, 1)]
+    checks += [
+        (FamilyId("double_run", n, 1, e1, e2), lambda e1=e1, e2=e2: contains_double_run(w, n, e1, e2))
+        for e1 in DIRS
+        for e2 in DIRS
+    ]
+    return checks
+
+
+def test_raw_calls_answer_like_shared_hosts_with_words_interleaved():
+    # Neighbouring words' checks in a seeded merge, so raw calls both
+    # reuse the kept host and find another word's host kept.
+    rng = random.Random(11)
+    words = DOUBLE_RUN_HOSTS + LEVEL_BUILD_HOSTS
+    for pair in zip(words[::2], words[1::2]):
+        calls = []
+        for label, w, n, _ in pair:
+            host = _Host(w)
+            calls += [(label, fid, raw, find_family_member(host, fid)) for fid, raw in _raw_checks(w, n)]
+        rng.shuffle(calls)
+        for label, fid, raw, expected in calls:
+            assert raw() == expected, (label, str(fid))
 
 
 @given(
