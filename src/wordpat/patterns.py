@@ -10,7 +10,7 @@ A double run is a chain of values v_0 < ... < v_n, each with a position
 p_t in the first run and q_t in the second.  The searches read a
 host's positions per value in rising value order and address a value by
 its rank.  Reversing a run is the same search on the value complement,
-whose index is that list reversed, so two shapes remain:
+whose ranks are those reversed, so two shapes remain:
 
 * nested (rev,id): p_n < ... < p_0 < q_0 < ... < q_n, intervals nested
   outward as the value grows.  The innermost interval may be taken
@@ -49,8 +49,8 @@ one orientation's rank serve the other reversed, and a pass from the top
 rank down takes each orientation's levels.  They are built only after a
 call's pivot scan has read 8 letters per host letter, so short words and
 words with an early chain never pay for them.  Then both orientations'
-levels are kept, each on its oriented host, and a later ascending call
-on either orientation reads them at once.  On construction words no
+levels are kept on the host as a pair, and a later ascending call on
+either orientation reads them at once.  On construction words no
 pivot value exceeds level n, so once the levels stand no window is
 scanned.
 
@@ -161,45 +161,34 @@ def family_mult(n: int, k: int) -> list[tuple[FamilyId, Word]]:
 class _Host:
     """A word prepared once for all the member checks against it.
 
-    The index lists each value's positions in rising value order, so the
-    searches address a value by its rank.  The value complement reverses
-    the ranks: its host is the same word with this index reversed.  Each
-    host also keeps the chain levels of its own orientation, which
-    ``_chain_levels`` sets on both at once, so a later ascending call on
-    either reads them at once.  Each part is built on first use, so one
-    check builds only what its checker reads.  Checkers never modify the
-    index lists, which the complement shares.
+    For each orientation the host lists each value's positions in rank
+    order: rising values for ID, falling for REV, where a descending run
+    is an ascending one.  It also keeps the chain levels of both
+    orientations, which ``_chain_levels`` sets at once, so a later
+    ascending call on either reads them at once.  Both are (ID, REV)
+    pairs built on first use, so one check builds only what its checker
+    reads.  Checkers never modify the lists.
 
-    A caller checking several members passes one host to each check.  A
-    raw tuple gets the host of ``_tuple_host``, so consecutive checks of
-    one tuple share its index, complement and levels too.  Two threads
-    sharing a host may each build a part, and the later one replaces the
-    earlier; the two are equal, and each part is set only once complete,
-    so at worst work is repeated.
+    A caller checking several members passes one host to each check; a
+    raw tuple gets the host of ``_tuple_host``.  Two threads sharing a
+    host may each build a pair, and the later one replaces the earlier;
+    the two are equal, and each is set only once complete, so at worst
+    work is repeated.
     """
 
-    __slots__ = ("word", "_occ", "_complement", "_levels")
+    __slots__ = ("word", "_occ", "_levels")
 
-    def __init__(self, w, occ: list[list[int]] | None = None):
+    def __init__(self, w):
         self.word: Word = tuple(w)
-        self._occ = occ
-        self._complement: _Host | None = None
-        self._levels: list[int] | None = None
+        self._occ: tuple[list[list[int]], list[list[int]]] | None = None
+        self._levels: tuple[list[int], list[int]] | None = None
 
-    def occ(self) -> list[list[int]]:
+    def occ(self, e: Direction) -> list[list[int]]:
         if self._occ is None:
             index = occurrences_by_value(self.word)
-            self._occ = [index[v] for v in sorted(index)]
-        return self._occ
-
-    def oriented(self, e: Direction) -> _Host:
-        """This host for ID; for REV, its complement, where a descending
-        run is an ascending one."""
-        if e is Direction.ID:
-            return self
-        if self._complement is None:
-            self._complement = _Host(self.word, self.occ()[::-1])
-        return self._complement
+            by_rank = [index[v] for v in sorted(index)]
+            self._occ = (by_rank, by_rank[::-1])
+        return self._occ[e is Direction.REV]
 
 
 # One slot: consecutive checks of one tuple share its host, and at most
@@ -213,14 +202,17 @@ def _tuple_host(w: Word) -> _Host:
 
 
 def _prepare(w, n: int, mult: int = 1) -> _Host:
-    """A raw word as a host, once the member parameters are checked.
+    """The host a checker runs on, once the member parameters are checked;
+    every checker gets its host here.
 
-    The host of a tuple is kept until the next raw tuple arrives; any
-    other word, a list say, may change between calls and gets a fresh
-    host each time.
+    A host passes through.  The host of a raw tuple is kept until the
+    next raw tuple arrives; any other word, a list say, may change
+    between calls and gets a fresh host each time.
     """
     if n < 0 or mult < 1:
         raise ValueError(f"need n >= 0 and mult >= 1, got n={n}, mult={mult}")
+    if type(w) is _Host:
+        return w
     return _tuple_host(w) if type(w) is tuple else _Host(w)
 
 
@@ -252,7 +244,7 @@ def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurr
     # so that no chain uses a value twice.
     target = n + 1
     best: list[tuple | None] = [(0, (), None)] + [None] * target
-    for ps in host.oriented(e).occ():
+    for ps in host.occ(e):
         if len(ps) < mult:
             continue
         for length in range(target, 0, -1):
@@ -283,18 +275,16 @@ def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence |
 def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
     if len(host.word) < 2 * (n + 1):
         return None
-    # (id,id) and (rev,id) are searched on the host itself, (rev,rev) and
-    # (id,rev) on its complement.
-    oriented = host.oriented(e2)
     if n == 0:
         # Both shapes reduce to two occurrences of one value.
-        for ps in oriented.occ():
+        for ps in host.occ(e2):
             if len(ps) > 1:
                 return (ps[0], ps[1])
         return None
+    # Ranked per e2, (rev,rev) is (id,id) and (id,rev) is (rev,id).
     if e1 is e2:
-        return _double_run_ascending(host, oriented.occ(), n, e2)
-    return _double_run_nested(oriented.occ(), n)
+        return _double_run_ascending(host, n, e2)
+    return _double_run_nested(host.occ(e2), n)
 
 
 def _pareto_insert(front: list, state: tuple) -> None:
@@ -356,20 +346,23 @@ def _grow(fronts: list, firsts: list, seconds: list) -> list | None:
 _SCAN_BEFORE_LEVELS = 8
 
 
-def _double_run_ascending(
-    host: _Host, occ: list[list[int]], n: int, e: Direction
-) -> Occurrence | None:
-    # occ is the host's index oriented by e.
-    # The letter at each 1-based position as its value rank, and each
-    # rank's last position.
-    w = [0] * (len(host.word) + 1)
+def _rank_word(occ: list[list[int]], size: int) -> tuple[list[int], list[int]]:
+    """The letter at each 1-based position of a ``size``-letter word as its
+    rank in ``occ``, and each rank's last position."""
+    w = [0] * (size + 1)
     last = []
     for v, ps in enumerate(occ):
         for p in ps:
             w[p] = v
         last.append(ps[-1])
+    return w, last
+
+
+def _double_run_ascending(host: _Host, n: int, e: Direction) -> Occurrence | None:
+    occ = host.occ(e)
+    w, last = _rank_word(occ, len(host.word))
     # Levels an earlier call set are read at once.
-    levels = host.oriented(e)._levels
+    levels = None if host._levels is None else host._levels[e is Direction.REV]
     unread = -1 if levels is not None else _SCAN_BEFORE_LEVELS * len(host.word)
     for v0 in range(len(occ) - n):
         if unread < 0:
@@ -436,16 +429,17 @@ def _crossings(w: list[int], last: list[int]) -> list[list[int]]:
 
 
 def _chain_levels(host: _Host, e: Direction, w: list[int], last: list[int]) -> list[int]:
-    """Set each orientation's chain levels on its oriented host, from one
-    sweep of the word as ``w`` and ``last`` give it oriented by ``e``;
-    returns e's.  The level of a rank is the most values v_0 < v_1 < ...
-    from it such that the word restricted to {v_t, v_t+1} holds x y x y.
+    """Set both orientations' chain levels on the host, from one sweep of
+    the word as ``w`` and ``last`` give it oriented by ``e``; returns e's.
+    The level of a rank is the most values v_0 < v_1 < ... from it such
+    that the word restricted to {v_t, v_t+1} holds x y x y.
     """
     crossings = _crossings(w, last)
-    built = []
-    for f, crossing in ((e, crossings), (e.flip(), crossings[::-1])):
-        oriented = host.oriented(f)
-        occ = oriented.occ()
+    if e is Direction.REV:
+        crossings.reverse()
+    pair = []
+    for f, crossing in ((Direction.ID, crossings), (Direction.REV, crossings[::-1])):
+        occ = host.occ(f)
         # From the top rank down; positions of lower ranks still read 0.
         at = [0] * len(w)
         levels = [0] * len(occ)
@@ -453,12 +447,9 @@ def _chain_levels(host: _Host, e: Direction, w: list[int], last: list[int]) -> l
             level = levels[v] = 1 + max(map(at.__getitem__, crossing[v]), default=0)
             for p in occ[v]:
                 at[p] = level
-        # Set only once complete, and return e's list as built rather
-        # than read back: another thread may share this host and replace
-        # its complement meanwhile.
-        oriented._levels = levels
-        built.append(levels)
-    return built[0]
+        pair.append(levels)
+    host._levels = tuple(pair)
+    return pair[e is Direction.REV]
 
 
 def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:
@@ -515,8 +506,7 @@ def find_family_member(w, fid: FamilyId, doubled_mult: int | None = None) -> Occ
     family.
     """
     mult = 2 if doubled_mult is None else doubled_mult
-    host = w if type(w) is _Host else _prepare(w, fid.n, mult)
-    return _KINDS[fid.kind].find(host, fid, mult)
+    return _KINDS[fid.kind].find(_prepare(w, fid.n, mult), fid, mult)
 
 
 def base_pattern(fid: FamilyId) -> Word:

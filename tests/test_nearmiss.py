@@ -1,0 +1,52 @@
+"""Near-miss words: every member checker against its reference, one
+repeat past the bound of ``build(n, 1).s``."""
+
+import pytest
+
+from nearmiss import near_miss, near_miss_words
+from oracles import double_run_by_pair_chains, staircase_by_all_groups
+from wordpat.construction import build
+from wordpat.patterns import _Host, family, find_family_member
+from wordpat.witness import extract_witness, validate_trace
+from wordpat.words import multiplicities, repeats, standardise, subword
+
+
+def _reference(w, fid):
+    if fid.kind == "double_run":
+        return double_run_by_pair_chains(w, fid.n, str(fid.e1), str(fid.e2))
+    if fid.kind == "doubled_monotone":
+        return staircase_by_all_groups(w, fid.n, 2, str(fid.e1))
+    return None  # no value occurs three times
+
+
+def test_near_miss_word_shape():
+    s = build(1, 1).s
+    assert near_miss(s, 3, 0, len(s) + 1) == (3, *(2 * v for v in s), 3)
+    for n, count in ((1, 20), (2, 20)):
+        for x, i, j, w in near_miss_words(n, count, seed=1):
+            assert w[i] == w[j] == x and x % 2 == 1
+            assert repeats(w) == n**6 + 1
+            assert max(multiplicities(w).values()) == 2
+
+
+# (n, words, seed): about 300 words at n = 2 and a few at n = 3, where
+# the pair-chain reference takes about half a second per word.
+@pytest.mark.parametrize("n, count, seed", [(2, 300, 1), (3, 3, 1)], ids=["n=2", "n=3"])
+def test_near_miss_words_hold_a_member_every_checker_finds(n, count, seed):
+    members = family(n, 1)
+    for x, i, j, w in near_miss_words(n, count, seed):
+        where = (x, i, j)
+        # Raw calls in reverse order, so each orientation does the first
+        # level sweep on one of the two hosts.
+        host = _Host(w)
+        shared = {fid: find_family_member(host, fid) for fid, _ in members}
+        raw = {fid: find_family_member(w, fid) for fid, _ in reversed(members)}
+        assert raw == shared, where
+        for fid, pattern in members:
+            occ, ref = shared[fid], _reference(w, fid)
+            assert (occ is None) == (ref is None), (where, str(fid), occ, ref)
+            if occ is not None:
+                assert standardise(subword(w, occ)) == pattern, (where, str(fid))
+        assert any(occ is not None for occ in shared.values()), where
+        *_, trace = extract_witness(w, n, 1)
+        assert validate_trace(w, trace), where

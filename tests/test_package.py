@@ -1,5 +1,8 @@
 """The flat package namespace."""
 
+import ast
+from pathlib import Path
+
 import wordpat
 
 # The names ``from wordpat import *`` exports; no submodule is among them.
@@ -25,3 +28,15 @@ def test_exported_names():
     assert len(wordpat.__all__) == len(set(wordpat.__all__))
     assert set(wordpat.__all__) == EXPORTED
     assert all(hasattr(wordpat, name) for name in EXPORTED)
+
+
+def test_library_raises_instead_of_asserting():
+    # python -O strips assert statements, and the invariants must hold
+    # there too.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(wordpat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -22,6 +22,7 @@ from wordpat.patterns import (
     Direction,
     _Host,
     _pareto_insert,
+    _rank_word,
     FamilyId,
     constant_pattern,
     contains_any_family,
@@ -189,6 +190,10 @@ OUT_OF_DOMAIN = [
         ((0, 0, 1, 1), FamilyId("doubled_monotone", 1, 1, ID), 0),
     ),
     ("member n=-1", find_family_member, ((0, 1, 0, 1), FamilyId("double_run", -1, 1, ID, ID))),
+]
+# The same cases on a shared host, which takes the same way in.
+OUT_OF_DOMAIN += [
+    (f"{label} on a host", check, (_Host(args[0]), *args[1:])) for label, check, args in OUT_OF_DOMAIN
 ]
 
 
@@ -406,17 +411,8 @@ def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
             assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e, e))
 
 
-def _rank_word(occ, size):
-    # The 1-based rank word and each rank's last position.
-    ranks = [0] * (size + 1)
-    for v, ps in enumerate(occ):
-        for p in ps:
-            ranks[p] = v
-    return ranks, [ps[-1] for ps in occ]
-
-
 def _library_crossings(w, e):
-    return patterns._crossings(*_rank_word(_Host(w).oriented(e).occ(), len(w)))
+    return patterns._crossings(*_rank_word(_Host(w).occ(e), len(w)))
 
 
 def _library_levels(w, e):
@@ -425,9 +421,10 @@ def _library_levels(w, e):
     levels = []
     for sweep in DIRS:
         host = _Host(w)
-        swept = patterns._chain_levels(host, sweep, *_rank_word(host.oriented(sweep).occ(), len(w)))
-        assert swept is host.oriented(sweep)._levels
-        levels.append(host.oriented(e)._levels)
+        swept = patterns._chain_levels(host, sweep, *_rank_word(host.occ(sweep), len(w)))
+        # One pair, (ID, REV), holds both orientations' levels.
+        assert swept is host._levels[DIRS.index(sweep)]
+        levels.append(host._levels[DIRS.index(e)])
     assert levels[0] == levels[1]
     return levels[0]
 
@@ -560,9 +557,7 @@ def test_levels_are_set_only_once_complete(monkeypatch):
 
     def checking_max(*args, **kwargs):
         calls["max"] += 1
-        for oriented in (host, host._complement):
-            levels = None if oriented is None else oriented._levels
-            assert levels is None or 0 not in levels
+        assert host._levels is None or all(0 not in levels for levels in host._levels)
         return max(*args, **kwargs)
 
     monkeypatch.setattr(patterns, "max", checking_max, raising=False)
@@ -802,16 +797,15 @@ def test_each_word_is_indexed_once_for_all_members(monkeypatch, check):
     counts = _count_indexing(monkeypatch)
     init = _Host.__init__
 
-    def counting_init(self, w, occ=None):
-        # Only a complement host is handed an index.
-        counts["complement"] += occ is not None
-        init(self, w, occ)
+    def counting_init(self, w):
+        counts["host"] += 1
+        init(self, w)
 
     monkeypatch.setattr(_Host, "__init__", counting_init)
     # Every member is checked and none occurs.
     assert check()
     assert counts["index"] == 1
-    assert counts["complement"] <= 1
+    assert counts["host"] == 1
 
 
 @pytest.mark.parametrize(
@@ -899,8 +893,8 @@ def test_shared_host_answers_like_fresh_calls(w, n, k, rnd):
         assert find_family_member(host, fid, mult) == find_family_member(w, fid, mult), (fid, mult)
         # Each check leaves the host as a fresh one would build it.
         assert host.word == w
-        assert host.occ() == by_rank
-        assert host.oriented(REV).occ() == complement_by_rank
+        assert host.occ(ID) == by_rank
+        assert host.occ(REV) == complement_by_rank
 
 
 def test_direction_flip():
