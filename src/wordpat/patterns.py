@@ -57,10 +57,16 @@ scanned.
 Both shapes keep, per chain length, the Pareto-minimal states in two
 keys that grow along a chain, (p, q) or (-p, q): a state no smaller than
 another in either key finishes only chains the other finishes too.  Such
-a front is an antichain sorted by its first key with the second falling,
-so the dominance test is one bisection and the insert one slice
-assignment, and of the states whose next first key is the same only the
-last, which has the least second key, needs extending.
+a front is an antichain, kept as three parallel lists: the first keys
+rising, the second keys falling and the states.  So each dominance test
+is one bisection over ints, and of the states whose next first key is
+the same only the last, which has the least second key, needs
+extending.  A value grows each of its first keys from the shortest
+chains up and stops at the first length the key extends nothing: every
+state of the next front is dominated by one of this front, since
+dropping a chain's last value leaves a state no worse, so a key that
+extends nothing here extends nothing longer.  All of a value's queries
+run before any of its states is inserted, so no chain uses it twice.
 """
 
 from __future__ import annotations
@@ -287,53 +293,67 @@ def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence
     return _double_run_nested(host.occ(e2), n)
 
 
-def _pareto_insert(front: list, state: tuple) -> None:
-    # front: antichain of (a, b, parent) states minimal in (a, b), sorted
-    # by a and so with b falling.  front[:j] holds the states with A <= a,
-    # the last of them with the least B; from front[i] on, the newcomer
-    # dominates every state while B >= b.
+def _pareto_insert(front: tuple[list[int], list[int], list], state: tuple) -> None:
+    # front: the states (a, b, parent) minimal in (a, b), as their first
+    # keys A rising, their second keys B falling and the states S.  A[:j]
+    # holds the first keys <= a, the last with the least second key; from
+    # A[i] on, the newcomer dominates every state while B >= b.
+    A, B, S = front
     a, b = state[0], state[1]
-    j = bisect_left(front, (a + 1,))
-    if j and front[j - 1][1] <= b:
+    j = bisect_right(A, a)
+    if j and B[j - 1] <= b:
         return
-    i = k = bisect_left(front, (a,), 0, j)
-    while k < len(front) and front[k][1] >= b:
+    i = k = bisect_left(A, a, 0, j)
+    while k < len(B) and B[k] >= b:
         k += 1
-    front[i:k] = [state]
+    A[i:k] = (a,)
+    B[i:k] = (b,)
+    S[i:k] = (state,)
 
 
-def _grow(fronts: list, firsts: list, seconds: list) -> list | None:
+def _grow(fronts: list, ps: list[int], firsts: range, sign: int, lo: int) -> list | None:
     """Extend the chains in ``fronts`` (``fronts[L]`` over L+1 values) by a
-    value with sorted keys ``firsts`` and ``seconds`` in the two runs.
+    value at the rising positions ``ps``: its first keys are ``sign *
+    ps[i]`` for i in ``firsts``, rising, and its second keys ``ps[lo:]``.
     Returns the (first, second) keys of the first chain over
     ``len(fronts) + 1`` values, its last value first, else None."""
     top = len(fronts) - 1
-    # Longest first, so that no chain uses the new value twice.
-    for length in range(top, -1, -1):
-        front = fronts[length]
-        if not front:
-            continue
-        last = -1
-        for f in firsts:
-            # Of the states whose next first key is f, the last one has
-            # the least second key; the others would grow dominated.
-            at = bisect_left(front, (f,)) - 1
-            if at == last:
+    if not fronts[0][0]:
+        # No state yet: the longer fronts nest in this one, so all are empty.
+        return None
+    # last[L]: where in fronts[L] the state an earlier key extended stands.
+    last = [-1] * len(fronts)
+    grown = []
+    for i in firsts:
+        f = sign * ps[i]
+        # Shortest first: each state of fronts[L+1] is dominated by one of
+        # fronts[L], so a key that extends nothing here extends nothing
+        # longer either.
+        for length, (A, B, S) in enumerate(fronts):
+            # Of the states with first keys below f, the last has the
+            # least second key, so only it needs extending.
+            at = bisect_left(A, f) - 1
+            if at < 0:
+                break
+            if at == last[length]:
+                # A smaller key extended this state; f would grow it
+                # dominated.
                 continue
-            last = at
-            state = front[at]
-            j = bisect_right(seconds, state[1])
-            if j == len(seconds):
-                continue
-            grown = (f, seconds[j], state)
-            if length < top:
-                _pareto_insert(fronts[length + 1], grown)
-                continue
-            keys = []
-            while grown is not None:
-                keys.append(grown[:2])
-                grown = grown[2]
-            return keys
+            j = bisect_right(ps, B[at], lo)
+            if j == len(ps):
+                break
+            state = (f, ps[j], S[at])
+            if length == top:
+                keys = []
+                while state is not None:
+                    keys.append(state[:2])
+                    state = state[2]
+                return keys
+            last[length] = at
+            grown.append((fronts[length + 1], state))
+    # Every query has run, so no chain uses the value twice.
+    for front, state in grown:
+        _pareto_insert(front, state)
     return None
 
 
@@ -392,10 +412,12 @@ def _double_run_ascending(host: _Host, n: int, e: Direction) -> Occurrence | Non
                 inside.update(w[p0 + 1 : q_prev + 1])
             inside.update(w[q_prev + 1 : q0])
             window = sorted(v for v in inside if v > v0 and last[v] > q0)
-            fronts = [[(p0, q0, None)]] + [[] for _ in range(n - 1)]
+            fronts = [([p0], [q0], [(p0, q0, None)])] + [([], [], []) for _ in range(n - 1)]
             for v in window:
                 ps = occ[v]
-                keys = _grow(fronts, ps[: bisect_left(ps, q0)], ps)
+                # Its first keys lie before q0, its second keys after.
+                m = bisect_left(ps, q0)
+                keys = _grow(fronts, ps, range(m), 1, m)
                 if keys is not None:
                     keys.reverse()
                     return tuple(p for p, _ in keys) + tuple(q for _, q in keys)
@@ -453,16 +475,17 @@ def _chain_levels(host: _Host, e: Direction, w: list[int], last: list[int]) -> l
 
 
 def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:
-    fronts: list[list] = [[] for _ in range(n)]
+    fronts = [([], [], []) for _ in range(n)]
     for ps in occ:
-        if len(ps) < 2:
+        m = len(ps)
+        if m < 2:
             continue
         # The last occurrence cannot open a run, nor the first close one.
-        keys = _grow(fronts, [-p for p in reversed(ps[:-1])], ps[1:])
+        keys = _grow(fronts, ps, range(m - 2, -1, -1), -1, 1)
         if keys is not None:
             return tuple(-p for p, _ in keys) + tuple(q for _, q in reversed(keys))
-        for p, q in zip(ps, ps[1:]):
-            _pareto_insert(fronts[0], (-p, q, None))
+        for i in range(1, m):
+            _pareto_insert(fronts[0], (-ps[i - 1], ps[i], None))
     return None
 
 

@@ -50,3 +50,28 @@ def test_near_miss_words_hold_a_member_every_checker_finds(n, count, seed):
         assert any(occ is not None for occ in shared.values()), where
         *_, trace = extract_witness(w, n, 1)
         assert validate_trace(w, trace), where
+
+
+# The first word of near_miss_words(2, 300, 2) where each non-constant
+# member is the only one present: a checker must find the one occurrence
+# the word holds, and no other checker may find any.
+SINGLE_MEMBER_WORDS = {
+    8: "DoubledMonotone(rev)",
+    11: "DoubleRun(rev,id)",
+    15: "DoubledMonotone(id)",
+    20: "DoubleRun(id,id)",
+    75: "DoubleRun(id,rev)",
+    212: "DoubleRun(rev,rev)",
+}
+
+
+@pytest.mark.parametrize("index, member", SINGLE_MEMBER_WORDS.items(), ids=SINGLE_MEMBER_WORDS.values())
+def test_single_member_near_miss_words_hold_exactly_that_member(index, member):
+    members = family(2, 1)
+    w = near_miss_words(2, 300, seed=2)[index][3]
+    host = _Host(w)
+    shared = {fid: find_family_member(host, fid) for fid, _ in members}
+    raw = {fid: find_family_member(w, fid) for fid, _ in members}
+    ref = {fid: _reference(w, fid) for fid, _ in members}
+    for found in (shared, raw, ref):
+        assert {str(fid) for fid, occ in found.items() if occ is not None} == {member}

@@ -761,13 +761,54 @@ def test_staircase_checker_matches_all_groups_reference(w, n, mult):
 
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))
 def test_pareto_front_keeps_exactly_the_minimal_states(points):
-    front = []
+    front = ([], [], [])
     for a, b in points:
         _pareto_insert(front, (a, b, None))
     minimal = {
         p for p in points if not any(o != p and o[0] <= p[0] and o[1] <= p[1] for o in points)
     }
-    assert [state[:2] for state in front] == sorted(minimal)
+    A, B, S = front
+    assert list(zip(A, B)) == sorted(minimal)
+    assert [state[:2] for state in S] == list(zip(A, B))
+
+
+def _assert_fronts_nest(fronts):
+    # Each front is an antichain, and each state of fronts[L+1] is dominated
+    # by one of fronts[L]: the growth may stop at the first length a key
+    # cannot extend.
+    for A, B, S in fronts:
+        assert A == sorted(set(A)) and B == sorted(set(B), reverse=True)
+        assert [state[:2] for state in S] == list(zip(A, B))
+    for (A, B, _), (longer_A, longer_B, _) in zip(fronts, fronts[1:]):
+        for a, b in zip(longer_A, longer_B):
+            assert any(x <= a and y <= b for x, y in zip(A, B)), (a, b, A, B)
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=9).flatmap(
+        lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+def test_each_longer_state_is_dominated_by_a_shorter_one(w, n):
+    # Checked before each value grows the fronts, so after the one before
+    # it, and once the search ends, so after the last.
+    seen = []
+    grow = patterns._grow
+
+    def checked_grow(fronts, *args):
+        _assert_fronts_nest(fronts)
+        if not any(f is fronts for f in seen):
+            seen.append(fronts)
+        return grow(fronts, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "_grow", checked_grow)
+        for e1 in DIRS:
+            for e2 in DIRS:
+                contains_double_run(tuple(w), n, e1, e2)
+    for fronts in seen:
+        _assert_fronts_nest(fronts)
 
 
 def _count_indexing(monkeypatch):
