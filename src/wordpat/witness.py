@@ -4,11 +4,13 @@ Any word with more than k n^6 repeats contains one of the seven base
 family members for (n, k), and ``extract_witness`` finds one by
 following the constructive argument rather than by searching:
 
-1. if some value occurs k+2 times, its first k+2 positions are a
-   constant witness; otherwise every value occurs at most k+1 times and
-   at least n^6 + 1 distinct values occur twice or more;
+1. index the word once for the repeat count; if it shows a value k+2
+   times, the first k+2 positions of the value that gets there first
+   are a constant witness; otherwise every value occurs at most k+1
+   times and at least n^6 + 1 distinct values occur twice or more;
 2. keep the first n^6 + 1 such values in first-occurrence order and
-   restrict to the first two occurrences of each (the doubled word);
+   restrict to the first two occurrences of each (the doubled word,
+   read from its sorted positions with no position dict);
 3. the first-occurrence subword has length n^6 + 1, so it has a strict
    monotone core of length n^3 + 1;
 4. cut the core into n blocks of n^2 + 1 values; a block whose second
@@ -25,6 +27,7 @@ The returned WitnessTrace records every intermediate choice, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .monotone import NONDECREASING, es_extract
@@ -35,7 +38,6 @@ from .words import (
     Occurrence,
     Word,
     occurrences_by_value,
-    repeats,
     standardise,
     subword,
 )
@@ -94,14 +96,16 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     threshold = k * n**6
-    have = repeats(w)
+    occ = occurrences_by_value(w)
+    have = len(w) - len(occ)
     if have <= threshold:
         raise InsufficientRepeats(
             f"guaranteed extraction needs more than {threshold} repeats, got {have}"
         )
 
-    const = contains_constant(w, k + 2)
-    if const is not None:
+    # The index shows a value k+2 times, so the scan finds a constant.
+    if max(map(len, occ.values())) >= k + 2:
+        const = contains_constant(w, k + 2)
         fid = FamilyId("constant", n, k)
         trace = WitnessTrace(n=n, k=k, branch="constant", family=fid, occurrence=const)
         return fid, const, trace
@@ -109,20 +113,17 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     # Each value occurs at most k+1 times, so the repeat count forces at
     # least n^6 + 1 distinct repeated values.  The index lists values in
     # first-occurrence order, so the chosen values' first occurrences rise.
-    occ = occurrences_by_value(w)
     need = n**6 + 1
     repeated = [v for v, ps in occ.items() if len(ps) >= 2]
     if len(repeated) < need:
         raise InvariantViolation("repeat arithmetic violated")
     chosen = tuple(repeated[:need])
-    first_of = {v: occ[v][0] for v in chosen}
-    second_of = {v: occ[v][1] for v in chosen}
+    firsts = [occ[v][0] for v in chosen]
 
-    doubled_occ = tuple(sorted(list(first_of.values()) + list(second_of.values())))
-    doubled = subword(w, doubled_occ)
-    to_doubled = {wp: i + 1 for i, wp in enumerate(doubled_occ)}
-
-    firsts_occ = tuple(to_doubled[x] for x in first_of.values())
+    doubled_occ = tuple(sorted(firsts + [occ[v][1] for v in chosen]))
+    doubled = tuple([w[x - 1] for x in doubled_occ])
+    first_set = set(firsts)
+    firsts_occ = tuple([i for i, x in enumerate(doubled_occ, 1) if x in first_set])
 
     half = n**3
     direction, core_idx = es_extract(chosen, half, half)
@@ -147,10 +148,10 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     picks: list[int] = []
     for t in range(1, n + 1):
         j = (t - 1) * n * n
-        boundary_first = first_of[core_vals[j + n * n]]
+        boundary_first = occ[core_vals[j + n * n]][0]
         offender = None
         for i in range(j, j + n * n):
-            if second_of[core_vals[i]] < boundary_first:
+            if occ[core_vals[i]][1] < boundary_first:
                 offender = i
                 break
         if offender is not None:
@@ -160,7 +161,7 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
         # Both occurrences of all n^2 + 1 block values frame the block's
         # top first occurrence: firsts before it, repeats after it.
         block_vals = core_vals[j : j + n * n + 1]
-        rep_w = sorted(second_of[v] for v in block_vals)
+        rep_w = sorted(occ[v][1] for v in block_vals)
         rep_vals = tuple(w[x - 1] for x in rep_w)
         d2, rep_idx = es_extract(rep_vals, n, n)
         e2 = Direction.ID if d2 == NONDECREASING else Direction.REV
@@ -168,7 +169,7 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
         chosen_vals = tuple(w[x - 1] for x in chosen_rep_w)
         if len(set(chosen_vals)) != n + 1:
             raise InvariantViolation("repeat run is not n + 1 distinct values")
-        match_first_w = tuple(sorted(first_of[v] for v in chosen_vals))
+        match_first_w = tuple(sorted(occ[v][0] for v in chosen_vals))
         if match_first_w[-1] >= chosen_rep_w[0]:
             raise InvariantViolation("block separation violated")
         occurrence = match_first_w + chosen_rep_w
@@ -178,9 +179,9 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
             family=fid,
             occurrence=occurrence,
             block_start=j,
-            repeat_occ=tuple(to_doubled[x] for x in rep_w),
-            repeat_monotone_occ=tuple(to_doubled[x] for x in chosen_rep_w),
-            firsts_match_occ=tuple(to_doubled[x] for x in match_first_w),
+            repeat_occ=tuple(bisect_left(doubled_occ, x) + 1 for x in rep_w),
+            repeat_monotone_occ=tuple(bisect_left(doubled_occ, x) + 1 for x in chosen_rep_w),
+            firsts_match_occ=tuple(bisect_left(doubled_occ, x) + 1 for x in match_first_w),
             **common,
         )
         return fid, occurrence, trace
@@ -188,12 +189,8 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     # Every block donated a value whose pair sits before the next
     # block's values; the pairs plus the core's final value stack into a
     # doubled monotone witness.
-    final_val = core_vals[n**3]
-    vals = tuple(core_vals[i] for i in picks) + (final_val,)
-    positions: list[int] = []
-    for v in vals:
-        positions.extend((first_of[v], second_of[v]))
-    occurrence = tuple(positions)
+    vals = tuple(core_vals[i] for i in picks) + (core_vals[n**3],)
+    occurrence = tuple(x for v in vals for x in occ[v][:2])
     if any(a >= b for a, b in zip(occurrence, occurrence[1:])):
         raise InvariantViolation("pair interleaving violated")
     fid = FamilyId("doubled_monotone", n, k, e1)
@@ -248,18 +245,18 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         return False
     if any(len(occ.get(v, [])) < 2 for v in chosen):
         return False
-    first_of = {v: occ[v][0] for v in chosen}
-    second_of = {v: occ[v][1] for v in chosen}
-    firsts = [first_of[v] for v in chosen]
+    firsts = [occ[v][0] for v in chosen]
     if firsts != sorted(firsts):
         return False
 
-    if tr.doubled_occ != tuple(sorted(firsts + [second_of[v] for v in chosen])):
+    dw = tuple(sorted(firsts + [occ[v][1] for v in chosen]))
+    if tr.doubled_occ != dw:
         return False
-    if tr.doubled_word != subword(w, tr.doubled_occ):
+    # Positions from the index lie in the word and rise.
+    if tr.doubled_word != tuple([w[x - 1] for x in dw]):
         return False
-    to_doubled = {wp: i + 1 for i, wp in enumerate(tr.doubled_occ)}
-    if tr.firsts_occ != tuple(to_doubled[x] for x in sorted(firsts)):
+    first_set = set(firsts)
+    if tr.firsts_occ != tuple([i for i, x in enumerate(dw, 1) if x in first_set]):
         return False
 
     if tr.monotone_occ is None or len(tr.monotone_occ) != n**3 + 1:
@@ -273,6 +270,8 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         return False
     if fid.e1 is not tr.monotone_direction:
         return False
+    first_of = {v: occ[v][0] for v in core_vals}
+    second_of = {v: occ[v][1] for v in core_vals}
 
     if tr.branch == "double_run":
         if fid.kind != "double_run":
@@ -285,7 +284,7 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         if any(second_of[v] <= boundary_first for v in block_vals):
             return False
         rep_w = sorted(second_of[v] for v in block_vals)
-        if tr.repeat_occ != tuple(to_doubled[x] for x in rep_w):
+        if tr.repeat_occ != tuple(bisect_left(dw, x) + 1 for x in rep_w):
             return False
         if tr.repeat_monotone_occ is None or len(tr.repeat_monotone_occ) != n + 1:
             return False
@@ -295,9 +294,8 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         if not _strictly_monotone(rep_chosen_vals, fid.e2):
             return False
         match_first = tuple(sorted(first_of[v] for v in rep_chosen_vals))
-        if tr.firsts_match_occ != tuple(to_doubled[x] for x in match_first):
+        if tr.firsts_match_occ != tuple(bisect_left(dw, x) + 1 for x in match_first):
             return False
-        dw = tr.doubled_occ
         rebuilt = tuple(dw[i - 1] for i in tr.firsts_match_occ) + tuple(
             dw[i - 1] for i in tr.repeat_monotone_occ
         )
@@ -315,9 +313,7 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
             if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:
                 return False
         vals = tuple(core_vals[i] for i in picks) + (core_vals[n**3],)
-        rebuilt: list[int] = []
-        for v in vals:
-            rebuilt.extend((first_of[v], second_of[v]))
-        return tuple(rebuilt) == tr.occurrence
+        rebuilt = tuple(x for v in vals for x in (first_of[v], second_of[v]))
+        return rebuilt == tr.occurrence
 
     return False

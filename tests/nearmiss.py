@@ -29,3 +29,16 @@ def near_miss_words(n, count, seed):
         i, j = sorted(rng.sample(range(len(s) + 2), 2))
         words.append((x, i, j, near_miss(s, x, i, j)))
     return words
+
+
+def near_miss_sample(n, share, seed):
+    """A seeded ``share`` of every near-miss word of ``build(n, 1).s``,
+    as (x, i, j, word): each odd x from 1 to 2 n^6 + 1 and each pair of
+    positions i < j is kept with probability ``share``."""
+    s = build(n, 1).s
+    rng = random.Random(seed)
+    for x in range(1, 2 * n**6 + 2, 2):
+        for i in range(len(s) + 2):
+            for j in range(i + 1, len(s) + 2):
+                if rng.random() < share:
+                    yield x, i, j, near_miss(s, x, i, j)

@@ -1,9 +1,11 @@
 """Near-miss words: every member checker against its reference, one
 repeat past the bound of ``build(n, 1).s``."""
 
+from collections import Counter
+
 import pytest
 
-from nearmiss import near_miss, near_miss_words
+from nearmiss import near_miss, near_miss_sample, near_miss_words
 from oracles import double_run_by_pair_chains, staircase_by_all_groups
 from wordpat.construction import build
 from wordpat.patterns import _Host, family, find_family_member
@@ -75,3 +77,28 @@ def test_single_member_near_miss_words_hold_exactly_that_member(index, member):
     ref = {fid: _reference(w, fid) for fid, _ in members}
     for found in (shared, raw, ref):
         assert {str(fid) for fid, occ in found.items() if occ is not None} == {member}
+
+
+@pytest.mark.slow
+def test_seeded_tenth_of_the_n2_corpus():
+    # About 54 500 of the 545 025 near-miss words at n = 2 (65 values of
+    # x, every i < j).  Every word holds a member and yields a valid
+    # trace; on each word the fast checkers find exactly one member, the
+    # references must find that member and no other.
+    members = [fid for fid, _ in family(2, 1)]
+    words = 0
+    only = Counter()
+    for x, i, j, w in near_miss_sample(2, 0.1, seed=1):
+        where = (x, i, j)
+        words += 1
+        host = _Host(w)
+        present = [fid for fid in members if find_family_member(host, fid) is not None]
+        assert present, where
+        *_, trace = extract_witness(w, 2, 1)
+        assert validate_trace(w, trace), where
+        if len(present) == 1:
+            only[str(present[0])] += 1
+            ref = [fid for fid in members if _reference(w, fid) is not None]
+            assert ref == present, (where, [str(fid) for fid in ref])
+    assert 50_000 < words < 59_000
+    assert set(only) == {str(fid) for fid in members if fid.kind != "constant"}

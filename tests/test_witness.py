@@ -1,6 +1,8 @@
 """Constructive witness extraction and trace replay."""
 
+import hashlib
 import inspect
+import json
 import os
 import random
 import subprocess
@@ -9,10 +11,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from wordgen import word_with_repeats
+from wordgen import shaped_word, word_with_repeats
 from wordpat import witness
-from wordpat.patterns import Direction, FamilyId, base_pattern, find_family_member
+from wordpat.patterns import Direction, FamilyId, base_pattern, contains_constant, find_family_member
 from wordpat.witness import InsufficientRepeats, extract_witness, validate_trace
 from wordpat.words import InvariantViolation, repeats, standardise, subword
 
@@ -92,6 +95,54 @@ def test_fuzz_uncapped_hits_constant_branch():
         branches.add(trace.branch)
         assert validate_trace(w, trace)
     assert "constant" in branches
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1)]),
+)
+def test_constant_branch_fires_exactly_when_a_constant_is_present(seed, nk):
+    n, k = nk
+    w = word_with_repeats(random.Random(seed), k * n**6 + 1, k, cap=False)
+    const = contains_constant(w, k + 2)
+    fid, occ, trace = extract_witness(w, n, k)
+    assert (trace.branch == "constant") == (const is not None)
+    if const is not None:
+        assert str(fid) == "Constant"
+        assert occ == trace.occurrence == const
+    assert validate_trace(w, trace)
+
+
+def _pinned_corpus():
+    rng = random.Random(2024)
+    for n, k in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        for _ in range(40 if n == 1 else 10):
+            yield word_with_repeats(rng, k * n**6 + 1, k), n, k
+    for n, k in ((1, 1), (1, 2), (2, 1)):
+        for _ in range(20):
+            yield word_with_repeats(rng, k * n**6 + 1, k, cap=False), n, k
+    for k in (1, 2):
+        for shape in ("interleaved", "adjacent", "separated"):
+            for _ in range(3):
+                yield shaped_word(rng, 2, k, shape), 2, k
+
+
+# SHA-256 of the JSON of every trace over _pinned_corpus() (218 traces:
+# 42 constant, 110 double run, 66 doubled monotone), recorded while
+# extraction still scanned for a constant on every call and mapped
+# doubled positions through a position dict.  Any rewrite of the
+# extraction must reproduce every recorded field.
+TRACE_DIGEST = "0be893ca2a483e6ffd42cacb1637fd99aaea064d49ae4abdf377e9e8f6649401"
+
+
+def test_traces_match_the_pinned_digest():
+    traces = []
+    for w, n, k in _pinned_corpus():
+        _, _, trace = extract_witness(w, n, k)
+        assert validate_trace(w, trace)
+        traces.append(trace.to_dict())
+    assert {t["branch"] for t in traces} == {"constant", "double_run", "doubled_monotone"}
+    assert hashlib.sha256(json.dumps(traces).encode()).hexdigest() == TRACE_DIGEST
 
 
 def test_trace_structure_non_constant():
@@ -276,6 +327,14 @@ REJECTIONS = [
      "if tr.doubled_word != "),
     ("first-occurrence positions", DR_WORD, lambda tr: dict(firsts_occ=(1, 3)),
      "if tr.firsts_occ != "),
+    ("first-occurrence position shifted", DR_WORD,
+     lambda tr: dict(firsts_occ=(tr.firsts_occ[0] + 1,) + tr.firsts_occ[1:]),
+     "if tr.firsts_occ != "),
+    ("first-occurrence position negative", DR_WORD,
+     lambda tr: dict(firsts_occ=(-1,) + tr.firsts_occ[1:]),
+     "if tr.firsts_occ != "),
+    ("first-occurrence positions missing", DR_WORD, lambda tr: dict(firsts_occ=None),
+     "if tr.firsts_occ != "),
     ("core not a subsequence of the firsts", DR_WORD, lambda tr: dict(monotone_occ=(2, 1)),
      "_is_subsequence_of(tr.monotone_occ, tr.firsts_occ)"),
     ("core direction missing", DR_WORD, lambda tr: dict(monotone_direction=None),
@@ -292,6 +351,8 @@ REJECTIONS = [
      "second_of[v] <= boundary_first"),
     ("repeat positions", DR_WORD, lambda tr: dict(repeat_occ=(3, 3)),
      "if tr.repeat_occ != "),
+    ("repeat positions missing", DR_WORD, lambda tr: dict(repeat_occ=None),
+     "if tr.repeat_occ != "),
     ("repeat run missing", DR_WORD, lambda tr: dict(repeat_monotone_occ=None),
      "if tr.repeat_monotone_occ is None"),
     ("repeat run not a subsequence", DR_WORD, lambda tr: dict(repeat_monotone_occ=(4, 3)),
@@ -300,6 +361,8 @@ REJECTIONS = [
      lambda tr: dict(family=_member("double_run", ID, REV), occurrence=(13, 14, 15, 16)),
      "_strictly_monotone(rep_chosen_vals, fid.e2)"),
     ("matching first positions", DR_WORD, lambda tr: dict(firsts_match_occ=(2, 1)),
+     "if tr.firsts_match_occ != "),
+    ("matching first positions missing", DR_WORD, lambda tr: dict(firsts_match_occ=None),
      "if tr.firsts_match_occ != "),
     ("block picks missing", DM_WORD, lambda tr: dict(block_picks=None),
      "if picks is None or len(picks) != n:"),

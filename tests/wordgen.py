@@ -41,3 +41,26 @@ def grid_word(rng, r, s):
         base = vals[-1] + 1
     blocks.reverse()
     return tuple(v for block in blocks for v in block)
+
+
+def shaped_word(rng, n, k, shape):
+    """n^6 + 1 values, each exactly k+1 times: just over the extraction
+    threshold, with no value k+2 times.
+
+    interleaved: a uniform shuffle of the multiset; adjacent: each
+    value's copies side by side; separated: k+1 independent
+    permutations in a row, so every second occurrence follows every
+    first one.
+    """
+    letters = rng.sample(range(10**6), n**6 + 1)
+    if shape == "interleaved":
+        w = [v for v in letters for _ in range(k + 1)]
+        rng.shuffle(w)
+    elif shape == "adjacent":
+        w = [v for v in letters for _ in range(k + 1)]
+    else:
+        w = []
+        for _ in range(k + 1):
+            rng.shuffle(letters)
+            w += letters
+    return tuple(w)
