@@ -125,14 +125,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         f"construction word for n={args.n}, k={args.k}",
     )
     parts = build(args.n, args.k)
-    part = {
-        "p": parts.p,
-        "t": parts.t,
-        "r": parts.r,
-        "rprime": parts.r_prime,
-        "q": parts.q,
-        "s": parts.s,
-    }[args.part]
+    part = getattr(parts, "r_prime" if args.part == "rprime" else args.part)
     print(" ".join(str(v) for v in part))
     return 0
 

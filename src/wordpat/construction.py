@@ -119,7 +119,7 @@ def _report(n: int, k: int, part, members: list[tuple[FamilyId, Word]]) -> Verif
     start = time.perf_counter()
     w = part(build(n, k))
     host = _Host(w)
-    avoided = {"Constant": contains_constant(w, k + 2) is None}
+    avoided = {"Constant": contains_constant(host, k + 2) is None}
     for fid, _ in members:
         avoided[str(fid)] = find_family_member(host, fid, doubled_mult=k + 1) is None
     mult_ok = all(c == k + 1 for c in multiplicities(w).values())

@@ -22,9 +22,10 @@ whose ranks are those reversed, so two shapes remain:
   value's pair (p_0, q_0) is a pivot that caps every later first-run
   position below q_0.  p_0 may be v_0's first occurrence, since an
   earlier start only widens the window, so v_0 with m occurrences gives
-  m-1 pivots.  Per pivot, each value above v_0 that occurs inside the
-  window and after q_0 extends a chain by its next positions after the
-  chain's last (p, q).
+  m-1 pivots.  Per pivot, the values above v_0 are read in rising rank
+  order from their position lists: each with a position inside the
+  window (p_0, q_0) and one after q_0 extends a chain by its next
+  positions after the chain's last (p, q).
 
 Before its chain search an ascending pivot must pass a patience-sorting
 bound.  The chain's v_1 < ... < v_n sit at p_0 < p_1 < ... < p_n < q_0
@@ -169,31 +170,29 @@ class _Host:
 
     For each orientation the host lists each value's positions in rank
     order: rising values for ID, falling for REV, where a descending run
-    is an ascending one.  It also keeps the chain levels of both
-    orientations, which ``_chain_levels`` sets at once, so a later
-    ascending call on either reads them at once.  Both are (ID, REV)
-    pairs built on first use, so one check builds only what its checker
-    reads.  Checkers never modify the lists.
+    is an ascending one.  Every checker reads only these lists, so the
+    host builds them, as an (ID, REV) pair, when it is made.  It also
+    keeps the chain levels of both orientations as a pair, which
+    ``_chain_levels`` sets on first use, so a later ascending call on
+    either reads them at once.  Checkers never modify the lists.
 
     A caller checking several members passes one host to each check; a
     raw tuple gets the host of ``_tuple_host``.  Two threads sharing a
-    host may each build a pair, and the later one replaces the earlier;
-    the two are equal, and each is set only once complete, so at worst
-    work is repeated.
+    host may each build the levels, and the later pair replaces the
+    earlier; the two are equal, and each is set only once complete, so
+    at worst work is repeated.
     """
 
     __slots__ = ("word", "_occ", "_levels")
 
     def __init__(self, w):
         self.word: Word = tuple(w)
-        self._occ: tuple[list[list[int]], list[list[int]]] | None = None
+        index = occurrences_by_value(self.word)
+        by_rank = [index[v] for v in sorted(index)]
+        self._occ = (by_rank, by_rank[::-1])
         self._levels: tuple[list[int], list[int]] | None = None
 
     def occ(self, e: Direction) -> list[list[int]]:
-        if self._occ is None:
-            index = occurrences_by_value(self.word)
-            by_rank = [index[v] for v in sorted(index)]
-            self._occ = (by_rank, by_rank[::-1])
         return self._occ[e is Direction.REV]
 
 
@@ -223,16 +222,12 @@ def _prepare(w, n: int, mult: int = 1) -> _Host:
 
 
 def contains_constant(w, m: int) -> Occurrence | None:
-    """First m positions of the value whose m-th occurrence comes earliest."""
+    """First m positions of the value whose m-th occurrence comes earliest;
+    ``w`` is a word or a ``_Host`` shared by several checks."""
     if m < 1:
         raise ValueError(f"multiplicity must be positive, got {m}")
-    seen: dict[int, list[int]] = {}
-    for i, v in enumerate(tuple(w), start=1):
-        ps = seen.setdefault(v, [])
-        ps.append(i)
-        if len(ps) == m:
-            return tuple(ps)
-    return None
+    held = [ps for ps in _prepare(w, 0).occ(Direction.ID) if len(ps) >= m]
+    return tuple(min(held, key=lambda ps: ps[m - 1])[:m]) if held else None
 
 
 def contains_multiplied_monotone(w, n: int, mult: int, e: Direction) -> Occurrence | None:
@@ -279,13 +274,10 @@ def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence |
 
 
 def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
-    if len(host.word) < 2 * (n + 1):
-        return None
     if n == 0:
-        # Both shapes reduce to two occurrences of one value.
-        for ps in host.occ(e2):
-            if len(ps) > 1:
-                return (ps[0], ps[1])
+        # Both shapes are two occurrences of one value: the one-group staircase.
+        return _multiplied_monotone(host, 0, 2, e2)
+    if len(host.word) < 2 * (n + 1):
         return None
     # Ranked per e2, (rev,rev) is (id,id) and (id,rev) is (rev,id).
     if e1 is e2:
@@ -393,7 +385,6 @@ def _double_run_ascending(host: _Host, n: int, e: Direction) -> Occurrence | Non
         ps0 = occ[v0]
         p0 = ps0[0]
         tails: list[int] = []
-        inside: set[int] = set()
         for q_prev, q0 in zip(ps0, ps0[1:]):
             # Patience sorting bounds the chains; once n tails stand,
             # every later pivot of v0 passes too.
@@ -408,16 +399,17 @@ def _double_run_ascending(host: _Host, n: int, e: Direction) -> Occurrence | Non
                             tails.append(v)
                 if len(tails) < n:
                     continue
-                # The first pivot to pass collects the earlier letters.
-                inside.update(w[p0 + 1 : q_prev + 1])
-            inside.update(w[q_prev + 1 : q0])
-            window = sorted(v for v in inside if v > v0 and last[v] > q0)
             fronts = [([p0], [q0], [(p0, q0, None)])] + [([], [], []) for _ in range(n - 1)]
-            for v in window:
+            for v in range(v0 + 1, len(occ)):
+                if last[v] < q0:
+                    continue
                 ps = occ[v]
-                # Its first keys lie before q0, its second keys after.
-                m = bisect_left(ps, q0)
-                keys = _grow(fronts, ps, range(m), 1, m)
+                # Its first keys lie inside the window, its second keys after.
+                i = bisect_right(ps, p0)
+                m = bisect_left(ps, q0, i)
+                if i == m:
+                    continue
+                keys = _grow(fronts, ps, range(i, m), 1, m)
                 if keys is not None:
                     keys.reverse()
                     return tuple(p for p, _ in keys) + tuple(q for _, q in keys)
@@ -505,7 +497,7 @@ _KINDS = _KindTable({
     "constant": _Kind(
         lambda fid: "Constant",
         lambda fid, mult: constant_pattern(fid.k + 2),
-        lambda host, fid, mult: contains_constant(host.word, fid.k + 2),
+        lambda host, fid, mult: contains_constant(host, fid.k + 2),
     ),
     "doubled_monotone": _Kind(
         lambda fid: f"DoubledMonotone({fid.e1})",

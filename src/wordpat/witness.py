@@ -103,7 +103,7 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
             f"guaranteed extraction needs more than {threshold} repeats, got {have}"
         )
 
-    # The index shows a value k+2 times, so the scan finds a constant.
+    # The index shows a value k+2 times, so contains_constant finds one.
     if max(map(len, occ.values())) >= k + 2:
         const = contains_constant(w, k + 2)
         fid = FamilyId("constant", n, k)
@@ -227,13 +227,20 @@ def validate_trace(w, trace: WitnessTrace) -> bool:
 
 def _validate(w: Word, tr: WitnessTrace) -> bool:
     n, k, fid = tr.n, tr.k, tr.family
+    if not isinstance(fid, FamilyId):
+        return False
     if n < 1 or k < 1 or fid.n != n or fid.k != k:
         return False
     if fid.kind not in _KINDS:
         return False
+    if not isinstance(tr.occurrence, tuple):
+        return False
     if standardise(subword(w, tr.occurrence)) != base_pattern(fid):
         return False
     if tr.branch == "constant":
+        # Every field the other branches set stays None.
+        if tr != WitnessTrace(n, k, tr.branch, fid, tr.occurrence):
+            return False
         return fid.kind == "constant"
     if fid.kind == "constant":
         return False
@@ -276,6 +283,8 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
     if tr.branch == "double_run":
         if fid.kind != "double_run":
             return False
+        if tr.block_picks is not None:
+            return False
         j = tr.block_start
         if j is None or j % (n * n) != 0 or not 0 <= j <= (n - 1) * n * n:
             return False
@@ -303,6 +312,9 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
 
     if tr.branch == "doubled_monotone":
         if fid.kind != "doubled_monotone":
+            return False
+        if (tr.block_start, tr.repeat_occ, tr.repeat_monotone_occ,
+                tr.firsts_match_occ) != (None,) * 4:
             return False
         picks = tr.block_picks
         if picks is None or len(picks) != n:

@@ -96,3 +96,26 @@ def test_gain_holds_needs_a_median_gain_beyond_the_base_quartiles():
     # Lower is better: the same margin, measured downwards.
     assert not _summary(LOWER, BASE, [v - 2 for v in BASE])["gain_holds"]
     assert _summary(LOWER, BASE, [v - 3 for v in BASE])["gain_holds"]
+
+
+# Quartiles 68.75 and 131.25: a spread of 62.5 % of the median, wider than the
+# 25 % bound.
+WIDE = [60, 140, 100, 70, 130, 100, 65, 135, 100, 100]
+
+
+@pytest.mark.parametrize("metric", [HIGHER, LOWER])
+def test_a_base_spread_wider_than_the_bound_leaves_the_metric_unresolved(metric):
+    m = _summary(metric, WIDE, WIDE)
+    assert m["base"]["q3"] - m["base"]["q1"] > metric["bound"] * m["base"]["median"]
+    assert m["unresolved"] and m["within_bound"]
+    # Every change run beats every base run: the spread does not hide it.
+    better = [141 if metric is HIGHER else 59] * 10
+    assert not _summary(metric, WIDE, better)["unresolved"]
+    # Beating all but one base run is not enough.
+    nearly = [139 if metric is HIGHER else 61] * 10
+    assert _summary(metric, WIDE, nearly)["unresolved"]
+
+
+def test_a_base_spread_inside_the_bound_is_resolved():
+    assert not _summary(HIGHER, BASE, BASE)["unresolved"]
+    assert not _summary(LOWER, BASE, [v * 1.5 for v in BASE])["unresolved"]

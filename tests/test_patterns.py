@@ -233,6 +233,12 @@ def test_constant_checker_matches_oracle(w, m):
     if occ is not None:
         assert len(set(subword(w, occ))) == 1
         assert len(occ) == m
+    # The first m positions of the value whose m-th occurrence comes first.
+    end = next((i for i in range(1, len(w) + 1) if w[:i].count(w[i - 1]) == m), None)
+    if end is not None:
+        assert occ == tuple(p for p in range(1, end + 1) if w[p - 1] == w[end - 1])
+    assert (occ is None) == (end is None)
+    assert contains_constant(_Host(w), m) == contains_constant(list(w), m) == occ
 
 
 @given(
@@ -395,20 +401,35 @@ def test_double_run_checkers_match_all_pairs_reference(w, n, present):
                     assert standardise(subword(w, found)) == pattern
 
 
+@pytest.mark.parametrize(
+    "w, n", [h[1:3] for h in DOUBLE_RUN_HOSTS[::3]], ids=[h[0] for h in DOUBLE_RUN_HOSTS[::3]]
+)
+def test_constant_answer_does_not_depend_on_the_checks_before_it(w, n):
+    for k in (1, 3, 40):
+        constant, *others = [fid for fid, _ in family(n, k)]
+        first, last = _Host(w), _Host(w)
+        for fid in others:
+            find_family_member(last, fid)
+        assert find_family_member(last, constant) == find_family_member(first, constant)
+        assert contains_constant(last, k + 2) == contains_constant(w, k + 2)
+
+
 @given(
     st.lists(st.integers(2, 5), min_size=1, max_size=10).flatmap(
         lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
     ),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
 )
 def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
+    # At n = 0 each of the four shapes is two occurrences of one value.
     w = tuple(w)
-    for e in (ID, REV):
-        occ = contains_double_run(w, n, e, e)
-        ref = double_run_by_all_pairs(w, n, str(e), str(e))
-        assert (occ is None) == (ref is None), (e, occ, ref)
+    shapes = [(e1, e2) for e1 in DIRS for e2 in DIRS] if n == 0 else [(e, e) for e in DIRS]
+    for e1, e2 in shapes:
+        occ = contains_double_run(w, n, e1, e2)
+        ref = double_run_by_all_pairs(w, n, str(e1), str(e2))
+        assert (occ is None) == (ref is None), (e1, e2, occ, ref)
         if occ is not None:
-            assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e, e))
+            assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e1, e2))
 
 
 def _library_crossings(w, e):
@@ -665,9 +686,7 @@ def _falling_window_word(m):
     return tuple(x for v in d for x in (0, v)) + (0, *d)
 
 
-def test_patience_bound_rejects_every_pivot_of_a_falling_window(monkeypatch):
-    # Without the bound each pivot of 0 would grow chains over every d
-    # before it, and the levels would be built only after that.
+def _count_grow(monkeypatch):
     calls = Counter()
     grow = patterns._grow
 
@@ -676,8 +695,47 @@ def test_patience_bound_rejects_every_pivot_of_a_falling_window(monkeypatch):
         return grow(*args)
 
     monkeypatch.setattr(patterns, "_grow", counting_grow)
+    return calls
+
+
+def test_patience_bound_rejects_every_pivot_of_a_falling_window(monkeypatch):
+    # Without the bound each pivot of 0 would grow chains over every d
+    # before it, and the levels would be built only after that.
+    calls = _count_grow(monkeypatch)
     assert contains_double_run(_falling_window_word(200), 2, ID, ID) is None
     assert calls["grow"] == 0
+
+
+# Label -> the _grow calls of the (id,id) and the (rev,rev) check on a
+# fresh host; hosts not listed make none.  A pivot grows chains by a value only if
+# it occurs inside the pivot's window and after it, so a wider window
+# shows here.
+GROW_CALLS = {
+    "uniform n=1 seed=1": (1, 1), "uniform n=2 seed=1": (2, 2), "uniform n=3 seed=1": (4, 4),
+    "uniform n=4 seed=1": (5, 4), "uniform n=1 seed=2": (1, 1), "uniform n=2 seed=2": (2, 2),
+    "uniform n=3 seed=2": (4, 3), "uniform n=4 seed=2": (7, 6), "blocks n=1 seed=1": (1, 0),
+    "blocks n=2 seed=2": (2, 0), "blocks n=3 seed=2": (16, 0), "blocks n=1 seed=3": (0, 1),
+    "mult 3-6 n=2 seed=2": (11, 5), "mult 3-6 n=3 seed=2": (10, 4), "mult 3-6 n=4 seed=4": (7, 15),
+    "build(2,2).s swapped 20 seed=1": (3, 3), "build(2,2).s swapped 20 seed=2": (9, 42),
+    "build(2,2).s swapped 80 seed=2": (18, 3), "build(2,3).s swapped 20 seed=1": (8, 2),
+    "build(2,3).s swapped 20 seed=2": (8, 63), "build(2,3).s swapped 80 seed=2": (16, 153),
+    "build(2,5).s swapped 20 seed=1": (6, 2), "build(2,5).s swapped 20 seed=2": (0, 82),
+    "build(2,5).s swapped 80 seed=2": (12, 162), "build(3,2).s swapped 40 seed=2": (5, 340),
+    "build(3,2).s swapped 200 seed=1": (15, 1309), "build(3,1).s swapped 8 seed=5": (3, 11),
+    "pivot passes, no chain": (2, 0), "chain spans two pivots": (2, 0), "the pattern itself": (2, 0),
+}
+
+
+# LEVEL_BUILD_HOSTS are among these.
+@pytest.mark.parametrize(
+    "label, w, n, present", DOUBLE_RUN_HOSTS, ids=[h[0] for h in DOUBLE_RUN_HOSTS]
+)
+def test_ascending_checks_grow_chains_as_often_as_pinned(monkeypatch, label, w, n, present):
+    calls = _count_grow(monkeypatch)
+    for e, pinned in zip(DIRS, GROW_CALLS.get(label, (0, 0))):
+        calls.clear()
+        find_family_member(_Host(w), FamilyId("double_run", n, 1, e, e))
+        assert calls["grow"] == pinned, e
 
 
 @pytest.mark.parametrize("m", [2, 5, 9])

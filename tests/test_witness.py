@@ -347,7 +347,7 @@ REJECTIONS = [
      'if fid.kind != "double_run":'),
     ("block not separated", DM_WORD,
      lambda tr: dict(branch="double_run", family=_member("double_run", ID, ID),
-                     occurrence=(5, 6, 7, 8), block_start=0),
+                     occurrence=(5, 6, 7, 8), block_start=0, block_picks=None),
      "second_of[v] <= boundary_first"),
     ("repeat positions", DR_WORD, lambda tr: dict(repeat_occ=(3, 3)),
      "if tr.repeat_occ != "),
@@ -368,10 +368,21 @@ REJECTIONS = [
      "if picks is None or len(picks) != n:"),
     ("picked pair not before the next block", DR_WORD,
      lambda tr: dict(branch="doubled_monotone", family=_member("doubled_monotone", ID),
-                     occurrence=(5, 6, 7, 8), block_picks=(0,)),
+                     occurrence=(5, 6, 7, 8), block_picks=(0,), block_start=None, repeat_occ=None,
+                     repeat_monotone_occ=None, firsts_match_occ=None),
      "if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:"),
     ("unknown member kind", DR_WORD, lambda tr: dict(family=FamilyId("bogus", 1, 1)),
      "if fid.kind not in _KINDS:"),
+    ("member named by a string", DR_WORD, lambda tr: dict(family="DoubleRun(id,id)"),
+     "if not isinstance(fid, FamilyId):"),
+    ("occurrence missing", DR_WORD, lambda tr: dict(occurrence=None),
+     "if not isinstance(tr.occurrence, tuple):"),
+    ("constant trace with chosen values", (0, 0, 0), lambda tr: dict(chosen_values=(5, 6)),
+     "if tr != WitnessTrace("),
+    ("double-run trace with block picks", (0, 1, 0, 1), lambda tr: dict(block_picks=(0,)),
+     "if tr.block_picks is not None:"),
+    ("doubled-monotone trace with double-run fields", (0, 0, 1, 1),
+     lambda tr: dict(block_start=0, repeat_occ=(1,)), "tr.firsts_match_occ) != (None,) * 4:"),
     ("unknown branch", DR_WORD, lambda tr: dict(branch="bogus"), None),
 ]
 

@@ -19,6 +19,9 @@ side won (ties count for neither), the gain of the median as a share of
 the base's, whether a loss stays inside the metric's bound, and whether
 a gain holds: the change wins at least nine pairs in ten, and its median
 beats the base's by more than the distance between the base's quartiles.
+A metric is unresolved when that distance is wider than its bound, as a
+share of the base's median, and some base run is no worse than some
+change run: the base's own spread then covers any loss the bound allows.
 Every run's raw result is kept too, with the seeds, the interpreter and
 the revisions.
 """
@@ -95,6 +98,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                 wins["change" if (c > b) == higher else "base"] += 1
         base, change = stats["base"]["median"], stats["change"]["median"]
         gain = (change - base) if higher else (base - change)
+        spread = stats["base"]["q3"] - stats["base"]["q1"]
+        sign = 1 if higher else -1
+        beats_every_base_run = min(sign * c for c in values["change"]) > max(sign * b for b in values["base"])
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -104,7 +110,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "base_wins": wins["base"],
             "median_gain_share": gain / base if base else 0.0,
             "within_bound": -gain <= metric["bound"] * abs(base),
-            "gain_holds": wins["change"] >= 0.9 * len(runs) and gain > stats["base"]["q3"] - stats["base"]["q1"],
+            "gain_holds": wins["change"] >= 0.9 * len(runs) and gain > spread,
+            "unresolved": spread > metric["bound"] * abs(base) and not beats_every_base_run,
         }
     return out
 
@@ -164,7 +171,8 @@ def main() -> int:
         for name, m in block["metrics"].items():
             print(f"{key:40s} {name:16s} base {m['base']['median']:10.4f}  change {m['change']['median']:10.4f}"
                   f"  {m['median_gain_share']:+7.1%}  wins {m['change_wins']}/{len(block['runs'])}"
-                  f"  {'gain holds' if m['gain_holds'] else ''}{'' if m['within_bound'] else '  OUTSIDE BOUND'}")
+                  f"  {'gain holds' if m['gain_holds'] else ''}{'' if m['within_bound'] else '  OUTSIDE BOUND'}"
+                  f"{'  UNRESOLVED' if m['unresolved'] else ''}")
     return 0
 
 
