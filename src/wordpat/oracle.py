@@ -5,6 +5,12 @@ independent oracles for the fast checkers, and the searches probe how
 tight the repeat threshold is at parameters small enough to exhaust.
 All entry points take a guard; sizes above it raise GuardExceeded
 instead of starting a run that will not finish.
+
+The two searches ask each word about the member found last first.
+Consecutive words are lexicographic neighbours and usually hold the
+same member, so most words take one check.  The order lives in a list
+made by each call and is gone when it returns; since a word either
+holds some member or none, no answer depends on it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from math import factorial
 from typing import Iterator
 
 from .guards import GuardExceeded, check_guard
-from .patterns import _Host, family, family_mult, find_family_member
+from .patterns import FamilyId, _Host, family, family_mult, find_family_member
 from .words import Word
 
 
@@ -100,6 +106,17 @@ def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word
     return _arrangements([v for v in range(1, values + 1) for _ in range(mult)])
 
 
+def _holds_member(host: _Host, fam: list[FamilyId], mult: int) -> bool:
+    # Whether the word holds any member of ``fam``; the member found is
+    # moved to the front, so the next word asks it first.
+    for i, fid in enumerate(fam):
+        if find_family_member(host, fid, mult) is not None:
+            if i:
+                fam.insert(0, fam.pop(i))
+            return True
+    return False
+
+
 def max_repeats_avoiding(
     n: int, k: int, max_values: int, guard: int = 2_000_000
 ) -> tuple[int, Word | None]:
@@ -127,7 +144,7 @@ def max_repeats_avoiding(
                     f"avoidance search space has size at least {space}, above the guard {guard}"
                 )
             vectors.append(counts)
-    fam = family(n, k)
+    fam = [fid for fid, _ in family(n, k)]
     best_r = 0
     best_w: Word | None = None
     for counts in vectors:
@@ -135,8 +152,7 @@ def max_repeats_avoiding(
         if base < best_r:
             continue
         for word in _arrangements([v for v, c in enumerate(counts) for _ in range(c)]):
-            host = _Host(word)
-            if any(find_family_member(host, fid) is not None for fid, _ in fam):
+            if _holds_member(_Host(word), fam, 2):
                 continue
             if base > best_r or best_w is None or word < best_w:
                 best_r, best_w = base, word
@@ -155,12 +171,8 @@ def check_unavoidability_balanced(n: int, k: int, guard: int = 16) -> bool:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     words = enumerate_balanced(n**6 + 1, k + 1, guard=guard)  # guarded before fam is built
-    fam = family_mult(n, k)
+    fam = [fid for fid, _ in family_mult(n, k)]
     for word in words:
-        host = _Host(word)
-        if not any(
-            find_family_member(host, fid, doubled_mult=k + 1) is not None
-            for fid, _ in fam
-        ):
+        if not _holds_member(_Host(word), fam, k + 1):
             return False
     return True

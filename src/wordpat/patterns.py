@@ -476,7 +476,10 @@ def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:
         keys = _grow(fronts, ps, range(m - 2, -1, -1), -1, 1)
         if keys is not None:
             return tuple(-p for p, _ in keys) + tuple(q for _, q in reversed(keys))
-        for i in range(1, m):
+        # Seeded in falling i, the first keys rise, so each seed lands
+        # after this value's others; in rising i each would shift them
+        # all, m^2/2 moves on a word of one value m times.
+        for i in range(m - 1, 0, -1):
             _pareto_insert(fronts[0], (-ps[i - 1], ps[i], None))
     return None
 

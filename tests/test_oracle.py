@@ -17,7 +17,7 @@ from wordpat.oracle import (
     enumerate_cayley,
     max_repeats_avoiding,
 )
-from wordpat.patterns import family, find_family_member, base_pattern
+from wordpat.patterns import _Host, family, family_mult, find_family_member, base_pattern
 from wordpat.words import is_pattern, repeats, standardise
 
 
@@ -108,6 +108,14 @@ def test_max_repeats_avoiding_small_cases():
     assert max_repeats_avoiding(1, 1, 0) == (0, None)
 
 
+def test_max_repeats_avoiding_benchmark_cases():
+    # The searches the oracle-search benchmark runs, with the answers
+    # computed when the members were asked in the fixed order.
+    assert max_repeats_avoiding(2, 1, 5) == (5, (0, 0, 1, 2, 3, 4, 2, 1, 4, 3))
+    assert max_repeats_avoiding(1, 1, 4) == (1, (0, 0))
+    assert max_repeats_avoiding(1, 2, 3) == (2, (0, 0, 0))
+
+
 def test_max_repeats_witness_contract():
     for n, k, mv in [(1, 1, 3), (1, 2, 2), (2, 1, 3)]:
         best, w = max_repeats_avoiding(n, k, mv)
@@ -171,6 +179,49 @@ def test_max_repeats_guard_stops_before_walking_every_count_vector(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_balanced_unavoidability_n1(k):
     assert check_unavoidability_balanced(1, k)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_balanced_unavoidability_n1_at_benchmark_sizes(k):
+    assert check_unavoidability_balanced(1, k)
+
+
+def test_member_walk_answers_as_the_fixed_order_and_moves_the_hit_to_the_front():
+    # One list per family is carried across many words, as in a search:
+    # whatever order earlier words left it in, the verdict is that of
+    # asking every member, and only the member found first moves.
+    rng = random.Random(16)
+    for n, k in [(0, 1), (1, 1), (1, 2), (2, 1), (2, 3)]:
+        for members, mult in [(family(n, k), 2), (family_mult(n, k), k + 1)]:
+            fids = [fid for fid, _ in members]
+            fam = rng.sample(fids, len(fids))
+            for _ in range(60):
+                w = word_with_repeats(rng, rng.randint(1, 9), k, cap=rng.random() < 0.5, singles_max=4)
+                before = list(fam)
+                held = [fid for fid in before if find_family_member(w, fid, mult) is not None]
+                assert oracle._holds_member(_Host(w), fam, mult) == bool(held), w
+                if held:
+                    assert fam == [held[0]] + [fid for fid in before if fid != held[0]], w
+                else:
+                    assert fam == before, w
+                assert len(fam) == len(fids) and set(fam) == set(fids)
+
+
+def test_balanced_search_asks_about_one_member_per_word(monkeypatch):
+    # At (1, 6) DoubleRun(id,id) holds in 3382 of the C(14, 7) = 3432
+    # words; the fixed order asks two staircases before it, 10 354
+    # checks in all.
+    calls = 0
+    find = oracle.find_family_member
+
+    def counting_find(*args):
+        nonlocal calls
+        calls += 1
+        return find(*args)
+
+    monkeypatch.setattr(oracle, "find_family_member", counting_find)
+    assert check_unavoidability_balanced(1, 6)
+    assert calls <= 1.1 * 3432
 
 
 def test_balanced_unavoidability_guard():

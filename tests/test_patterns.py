@@ -817,6 +817,25 @@ def test_staircase_checker_matches_all_groups_reference(w, n, mult):
                 assert standardise(subword(w, found)) == pattern
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("e2", DIRS)
+def test_nested_seeds_of_one_value_append_to_the_front(monkeypatch, n, e2):
+    # Seeding in rising position would put each seed at the head of the
+    # front and shift all the others: quadratic in the value's multiplicity.
+    inserts = 0
+    insert = patterns._pareto_insert
+
+    def checking_insert(front, state):
+        nonlocal inserts
+        inserts += 1
+        insert(front, state)
+        assert front[2][-1] is state, (len(front[2]), state)
+
+    monkeypatch.setattr(patterns, "_pareto_insert", checking_insert)
+    assert contains_double_run((7,) * 300, n, e2.flip(), e2) is None
+    assert inserts == 299
+
+
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))
 def test_pareto_front_keeps_exactly_the_minimal_states(points):
     front = ([], [], [])
