@@ -43,15 +43,26 @@ class ConstructionParts:
 
 
 def build(n: int, k: int) -> ConstructionParts:
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    p = tuple(range(1, n * n + 1))
-    t = tuple(v for v in range(1, n + 1) for _ in range(k))
-    r = skew_power(t, n)
-    r_prime = direct_power(skew_power(r, n), n)
-    q = concat(skew_power(p, n * n), r_prime)
+    p, t, r, r_prime, q = _build_q(n, k)
     s = skew_power(direct_power(q, n), n)
     return ConstructionParts(n=n, k=k, p=p, t=t, r=r, r_prime=r_prime, q=q, s=s)
+
+
+def _build_q(n: int, k: int) -> tuple[Word, Word, Word, Word, Word]:
+    """p, t, r, r_prime and q of ``build(n, k)``, without its longest part s."""
+    t, r = _build_r(n, k)
+    p = tuple(range(1, n * n + 1))
+    r_prime = direct_power(skew_power(r, n), n)
+    return p, t, r, r_prime, concat(skew_power(p, n * n), r_prime)
+
+
+def _build_r(n: int, k: int) -> tuple[Word, Word]:
+    """t and r of ``build(n, k)``; every part is built from them, so n and
+    k are checked here."""
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    t = tuple(v for v in range(1, n + 1) for _ in range(k))
+    return t, skew_power(t, n)
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,7 @@ def verify(n: int, k: int, guard: int = 100_000) -> VerifyReport:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     check_guard((k + 1) * n**6, guard, f"verification word for n={n}, k={k}")
-    return _report(n, k, lambda parts: parts.s, family_mult(n, k))
+    return _report(n, k, lambda: build(n, k).s, family_mult(n, k))
 
 
 def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
@@ -109,19 +120,19 @@ def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     check_guard((k + 1) * n**4, guard, f"intermediate word for n={n}, k={k}")
     # n >= 1 collapses no member: two staircases, then four double runs.
-    return _report(n, k, lambda parts: parts.q, family_mult(1, k)[:2] + family_mult(n, k)[2:])
+    return _report(n, k, lambda: _build_q(n, k)[-1], family_mult(1, k)[:2] + family_mult(n, k)[2:])
 
 
-def _report(n: int, k: int, part, members: list[tuple[FamilyId, Word]]) -> VerifyReport:
-    """Check the ``part`` word of ``build(n, k)`` for multiplicity k+1
-    and against the constant of length k+2 and ``members``, staircases
-    with group size k+1, indexing the word once for all of them."""
+def _report(n: int, k: int, make, members: list[tuple[FamilyId, Word]]) -> VerifyReport:
+    """Check the word ``make()`` builds for multiplicity k+1 and against
+    the constant of length k+2 and ``members``, indexing the word once
+    for all of them; building it is timed too."""
     start = time.perf_counter()
-    w = part(build(n, k))
+    w = make()
     host = _Host(w)
     avoided = {"Constant": contains_constant(host, k + 2) is None}
     for fid, _ in members:
-        avoided[str(fid)] = find_family_member(host, fid, doubled_mult=k + 1) is None
+        avoided[str(fid)] = find_family_member(host, fid) is None
     mult_ok = all(c == k + 1 for c in multiplicities(w).values())
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerifyReport(
@@ -149,7 +160,7 @@ class MonotoneReport:
 
 def max_monotone_of_r(n: int, k: int) -> MonotoneReport:
     """Longest monotone subword lengths of the skew-stacked block word r."""
-    r = build(n, k).r
+    _, r = _build_r(n, k)
     return MonotoneReport(
         nondecreasing=len(longest_nondecreasing(r)),
         nonincreasing=len(longest_nonincreasing(r)),

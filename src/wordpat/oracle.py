@@ -106,11 +106,11 @@ def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word
     return _arrangements([v for v in range(1, values + 1) for _ in range(mult)])
 
 
-def _holds_member(host: _Host, fam: list[FamilyId], mult: int) -> bool:
+def _holds_member(host: _Host, fam: list[FamilyId]) -> bool:
     # Whether the word holds any member of ``fam``; the member found is
     # moved to the front, so the next word asks it first.
     for i, fid in enumerate(fam):
-        if find_family_member(host, fid, mult) is not None:
+        if find_family_member(host, fid) is not None:
             if i:
                 fam.insert(0, fam.pop(i))
             return True
@@ -152,7 +152,7 @@ def max_repeats_avoiding(
         if base < best_r:
             continue
         for word in _arrangements([v for v, c in enumerate(counts) for _ in range(c)]):
-            if _holds_member(_Host(word), fam, 2):
+            if _holds_member(_Host(word), fam):
                 continue
             if base > best_r or best_w is None or word < best_w:
                 best_r, best_w = base, word
@@ -173,6 +173,6 @@ def check_unavoidability_balanced(n: int, k: int, guard: int = 16) -> bool:
     words = enumerate_balanced(n**6 + 1, k + 1, guard=guard)  # guarded before fam is built
     fam = [fid for fid, _ in family_mult(n, k)]
     for word in words:
-        if not _holds_member(_Host(word), fam, k + 1):
+        if not _holds_member(_Host(word), fam):
             return False
     return True

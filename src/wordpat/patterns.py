@@ -96,13 +96,22 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class FamilyId:
-    """Identifies one member of an unavoidable-pattern family."""
+    """Identifies one member of an unavoidable-pattern family, and so its
+    pattern: ``mult`` is the staircase group size, 2 in the base family
+    and k+1 on the balanced family's staircases; other kinds ignore it."""
 
     kind: str  # "constant" | "doubled_monotone" | "double_run"
     n: int
     k: int
     e1: Direction | None = None
     e2: Direction | None = None
+    mult: int = 2
+
+    def __post_init__(self) -> None:
+        # So no checker is handed an orientation it would misread; an
+        # unknown kind raises where the member is used.
+        if self.kind in _KINDS:
+            _check_directions(_KINDS[self.kind].directions(self))
 
     def __str__(self) -> str:
         return _KINDS[self.kind].name(self)
@@ -128,19 +137,19 @@ def double_run_pattern(n: int, e1: Direction, e2: Direction) -> Word:
 
 
 @lru_cache(maxsize=64)
-def _members(n: int, k: int, mult: int, with_constant: bool) -> tuple[tuple[FamilyId, Word], ...]:
-    """Family members in the fixed order, staircases with group size
-    ``mult``, degenerate duplicates collapsed; built once per argument
-    tuple, so callers copy before handing it out."""
+def _members(n: int, k: int, balanced: bool) -> tuple[tuple[FamilyId, Word], ...]:
+    """Family members in the fixed order, degenerate duplicates collapsed;
+    the balanced family drops the constant and sizes its staircases k+1.
+    Built once per argument tuple, so callers copy before handing it out."""
     if n < 0 or k < 1:
         raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
-    fids = [FamilyId("constant", n, k)] if with_constant else []
-    fids += [FamilyId("doubled_monotone", n, k, e) for e in Direction]
+    fids = [] if balanced else [FamilyId("constant", n, k)]
+    fids += [FamilyId("doubled_monotone", n, k, e, mult=k + 1 if balanced else 2) for e in Direction]
     fids += [FamilyId("double_run", n, k, e1, e2) for e1 in Direction for e2 in Direction]
     seen: set[Word] = set()
     out = []
     for fid in fids:
-        pat = _KINDS[fid.kind].pattern(fid, mult)
+        pat = _KINDS[fid.kind].pattern(fid)
         if pat not in seen:
             seen.add(pat)
             out.append((fid, pat))
@@ -153,16 +162,16 @@ def family(n: int, k: int) -> list[tuple[FamilyId, Word]]:
     Fixed order: constant, doubled monotone (id, rev), then the four
     double runs (id,id), (id,rev), (rev,id), (rev,rev).
     """
-    return list(_members(n, k, 2, True))
+    return list(_members(n, k, False))
 
 
 def family_mult(n: int, k: int) -> list[tuple[FamilyId, Word]]:
     """The six balanced-word patterns: multiplied staircases and double runs.
 
-    The doubled-monotone members use group size k+1; at k=1 they
-    coincide with the base family's staircases.
+    The doubled-monotone members carry group size k+1; at k=1 they
+    equal the base family's staircases.
     """
-    return list(_members(n, k, k + 1, False))
+    return list(_members(n, k, True))
 
 
 class _Host:
@@ -206,9 +215,16 @@ def _tuple_host(w: Word) -> _Host:
     return _Host(w)
 
 
-def _prepare(w, n: int, mult: int = 1) -> _Host:
-    """The host a checker runs on, once the member parameters are checked;
-    every checker gets its host here.
+def _check_directions(directions: tuple) -> None:
+    # Checkers test only ``is Direction.REV``: anything else would read as ID.
+    for e in directions:
+        if type(e) is not Direction:
+            raise ValueError(f"orientation must be a Direction, got {e!r}")
+
+
+def _prepare(w, n: int, mult: int = 1, directions: tuple = ()) -> _Host:
+    """The host a checker runs on, once the member parameters and the
+    ``directions`` it reads are checked; every checker gets its host here.
 
     A host passes through.  The host of a raw tuple is kept until the
     next raw tuple arrives; any other word, a list say, may change
@@ -216,6 +232,7 @@ def _prepare(w, n: int, mult: int = 1) -> _Host:
     """
     if n < 0 or mult < 1:
         raise ValueError(f"need n >= 0 and mult >= 1, got n={n}, mult={mult}")
+    _check_directions(directions)
     if type(w) is _Host:
         return w
     return _tuple_host(w) if type(w) is tuple else _Host(w)
@@ -232,7 +249,7 @@ def contains_constant(w, m: int) -> Occurrence | None:
 
 def contains_multiplied_monotone(w, n: int, mult: int, e: Direction) -> Occurrence | None:
     """Occurrence of n+1 groups of ``mult`` equal letters, monotone per ``e``."""
-    return _multiplied_monotone(_prepare(w, n, mult), n, mult, e)
+    return _multiplied_monotone(_prepare(w, n, mult, (e,)), n, mult, e)
 
 
 def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurrence | None:
@@ -270,7 +287,7 @@ def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurr
 def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
     """Occurrence of two position-separated monotone runs over the same
     n+1 values, the first oriented per ``e1`` and the second per ``e2``."""
-    return _double_run(_prepare(w, n), n, e1, e2)
+    return _double_run(_prepare(w, n, 1, (e1, e2)), n, e1, e2)
 
 
 def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
@@ -486,8 +503,9 @@ def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:
 
 class _Kind(NamedTuple):
     name: Callable[[FamilyId], str]
-    pattern: Callable[[FamilyId, int], Word]  # (member, staircase group size)
-    find: Callable[[_Host, FamilyId, int], Occurrence | None]
+    directions: Callable[[FamilyId], tuple]  # the orientations its checker reads
+    pattern: Callable[[FamilyId], Word]
+    find: Callable[[_Host, FamilyId], Occurrence | None]
 
 
 class _KindTable(dict):
@@ -499,43 +517,41 @@ class _KindTable(dict):
 _KINDS = _KindTable({
     "constant": _Kind(
         lambda fid: "Constant",
-        lambda fid, mult: constant_pattern(fid.k + 2),
-        lambda host, fid, mult: contains_constant(host, fid.k + 2),
+        lambda fid: (),
+        lambda fid: constant_pattern(fid.k + 2),
+        lambda host, fid: contains_constant(host, fid.k + 2),
     ),
     "doubled_monotone": _Kind(
         lambda fid: f"DoubledMonotone({fid.e1})",
-        lambda fid, mult: multiplied_monotone_pattern(fid.n, mult, fid.e1),
-        lambda host, fid, mult: _multiplied_monotone(host, fid.n, mult, fid.e1),
+        lambda fid: (fid.e1,),
+        lambda fid: multiplied_monotone_pattern(fid.n, fid.mult, fid.e1),
+        lambda host, fid: _multiplied_monotone(host, fid.n, fid.mult, fid.e1),
     ),
     "double_run": _Kind(
         lambda fid: f"DoubleRun({fid.e1},{fid.e2})",
-        lambda fid, mult: double_run_pattern(fid.n, fid.e1, fid.e2),
-        lambda host, fid, mult: _double_run(host, fid.n, fid.e1, fid.e2),
+        lambda fid: (fid.e1, fid.e2),
+        lambda fid: double_run_pattern(fid.n, fid.e1, fid.e2),
+        lambda host, fid: _double_run(host, fid.n, fid.e1, fid.e2),
     ),
 })
 
 
-def find_family_member(w, fid: FamilyId, doubled_mult: int | None = None) -> Occurrence | None:
-    """Run the specialized checker for one family member.
-
-    ``w`` is a word or a ``_Host`` shared by several checks.
-    ``doubled_mult`` overrides the group size of doubled-monotone
-    members: 2 (default) for the base family, k+1 for the balanced-word
-    family.
-    """
-    mult = 2 if doubled_mult is None else doubled_mult
-    return _KINDS[fid.kind].find(_prepare(w, fid.n, mult), fid, mult)
+def find_family_member(w, fid: FamilyId) -> Occurrence | None:
+    """Run the specialized checker for one family member, whose pattern
+    is ``base_pattern(fid)``; ``w`` is a word or a shared ``_Host``.  The
+    member's orientations were checked when it was made."""
+    return _KINDS[fid.kind].find(_prepare(w, fid.n, fid.mult), fid)
 
 
 def base_pattern(fid: FamilyId) -> Word:
-    """The concrete base-family pattern a FamilyId names."""
-    return _KINDS[fid.kind].pattern(fid, 2)
+    """The concrete pattern a FamilyId names, in its own group size."""
+    return _KINDS[fid.kind].pattern(fid)
 
 
 def contains_any_family(w, n: int, k: int) -> tuple[FamilyId, Occurrence] | None:
     """First base-family member with an occurrence, in the fixed order."""
     host = _Host(w)
-    for fid, _ in _members(n, k, 2, True):
+    for fid, _ in _members(n, k, False):
         found = find_family_member(host, fid)
         if found is not None:
             return fid, found

@@ -233,6 +233,10 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         return False
     if fid.kind not in _KINDS:
         return False
+    # Extraction finds base members only; a double run ignores its group
+    # size, so the pattern check below would not see another one.
+    if fid.mult != 2:
+        return False
     if not isinstance(tr.occurrence, tuple):
         return False
     if standardise(subword(w, tr.occurrence)) != base_pattern(fid):

@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import longest_nondecreasing_len, longest_nonincreasing_len
+from wordpat import construction
 from wordpat.construction import (
     build,
     max_monotone_of_r,
@@ -153,6 +154,43 @@ def test_verify_q_lemma_2_2_flags_the_same_runs():
     assert not report.ok
     failing = {name for name, ok in report.avoided.items() if not ok}
     assert failing == {"DoubleRun(id,rev)", "DoubleRun(rev,id)"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_q_lemma_reports_the_q_of_build(n, k):
+    q = build(n, k).q
+    report = verify_q_lemma(n, k)
+    assert report.length == len(q)
+    assert report.repeats == repeats(q)
+    assert report.multiplicity_ok == all(c == k + 1 for c in multiplicities(q).values())
+
+
+def _record_longest_word(monkeypatch):
+    """Wrap the combinators the construction is built with; the list
+    returned holds the length of the longest word made since."""
+    longest = [0]
+    for name in ("concat", "direct_power", "skew_power"):
+
+        def made(*args, combine=getattr(construction, name)):
+            w = combine(*args)
+            longest[0] = max(longest[0], len(w))
+            return w
+
+        monkeypatch.setattr(construction, name, made)
+    return longest
+
+
+def test_q_lemma_and_r_build_no_part_after_the_one_they_read(monkeypatch):
+    # build(10, 1).s has 2 000 000 letters and build(12, 1).q 41 472.
+    longest = _record_longest_word(monkeypatch)
+    assert verify_q_lemma(10, 1).length == 20_000
+    assert longest[0] == 20_000
+    longest[0] = 0
+    assert max_monotone_of_r(12, 1).longest == 12
+    assert longest[0] == 144
+    longest[0] = 0
+    assert verify(2, 1).length == longest[0] == 128
 
 
 def test_verify_report_to_dict():

@@ -167,15 +167,25 @@ def test_contains_double_run_examples():
     assert contains_double_run((0, 1, 2, 1, 0), 2, ID, REV) is None
 
 
-def test_find_family_member_doubled_mult_override():
-    fid = FamilyId("doubled_monotone", 1, 2, ID)
+def test_staircase_member_checks_its_own_group_size():
+    base, pattern = family(1, 2)[1]
+    assert base == FamilyId("doubled_monotone", 1, 2, ID) and pattern == (0, 0, 1, 1)
+    balanced, pattern = family_mult(1, 2)[0]
+    assert balanced == FamilyId("doubled_monotone", 1, 2, ID, mult=3) and pattern == (0, 0, 0, 1, 1, 1)
     w = (0, 0, 0, 1, 1, 1)
-    assert find_family_member(w, fid) == (1, 2, 4, 5)
-    assert find_family_member(w, fid, doubled_mult=3) == (1, 2, 3, 4, 5, 6)
-    assert find_family_member((0, 0, 1, 1), fid, doubled_mult=3) is None
+    assert find_family_member(w, base) == (1, 2, 4, 5)
+    assert find_family_member(w, balanced) == (1, 2, 3, 4, 5, 6)
+    # The balanced staircase is 000111, so 0011 does not hold it.
+    assert find_family_member((0, 0, 1, 1), balanced) is None
 
 
-# (label, checker, arguments) with n < 0 or a group size below 1.
+def _find_new_member(w, *member):
+    return find_family_member(w, FamilyId(*member))
+
+
+# (label, checker, arguments) with n < 0, a group size below 1 or an
+# orientation that is not a Direction; a member with one raises as it
+# is made.
 OUT_OF_DOMAIN = [
     *(
         (f"double run n=-1 {e1},{e2}", contains_double_run, ((0, 1, 0, 1), -1, e1, e2))
@@ -184,12 +194,18 @@ OUT_OF_DOMAIN = [
     ),
     *((f"staircase mult=0 {e}", contains_multiplied_monotone, ((1, 2), 1, 0, e)) for e in DIRS),
     *((f"staircase n=-1 {e}", contains_multiplied_monotone, ((1, 2), -1, 1, e)) for e in DIRS),
-    (
-        "member doubled_mult=0",
-        find_family_member,
-        ((0, 0, 1, 1), FamilyId("doubled_monotone", 1, 1, ID), 0),
-    ),
+    ("member mult=0", find_family_member, ((0, 0, 1, 1), FamilyId("doubled_monotone", 1, 1, ID, mult=0))),
     ("member n=-1", find_family_member, ((0, 1, 0, 1), FamilyId("double_run", -1, 1, ID, ID))),
+    # The strings str(fid) prints, and None, are not orientations.
+    ("double run rev,rev as strings", contains_double_run, ((2, 1, 0, 2, 1, 0), 2, "rev", "rev")),
+    ("double run e1 string", contains_double_run, ((0, 1, 1, 0), 1, "id", REV)),
+    ("double run e2 None", contains_double_run, ((0, 1, 0, 1), 1, ID, None)),
+    ("double run n=0 e1 string", contains_double_run, ((0, 0), 0, "rev", ID)),
+    ("staircase rev as a string", contains_multiplied_monotone, ((1, 1, 0, 0), 1, 2, "rev")),
+    ("staircase None", contains_multiplied_monotone, ((0, 0, 1, 1), 1, 2, None)),
+    ("member rev,rev as strings", _find_new_member, ((2, 1, 0, 2, 1, 0), "double_run", 2, 1, "rev", "rev")),
+    ("member n=0 e1 string", _find_new_member, ((0, 0), "double_run", 0, 1, "rev", ID)),
+    ("member staircase without e1", _find_new_member, ((0, 0, 1, 1), "doubled_monotone", 1, 1)),
 ]
 # The same cases on a shared host, which takes the same way in.
 OUT_OF_DOMAIN += [
@@ -201,13 +217,13 @@ OUT_OF_DOMAIN += [
     "check, args", [case[1:] for case in OUT_OF_DOMAIN], ids=[case[0] for case in OUT_OF_DOMAIN]
 )
 def test_out_of_domain_checker_parameters_raise_value_error(check, args):
-    with pytest.raises(ValueError, match="need n >= 0 and mult >= 1"):
+    with pytest.raises(ValueError, match="need n >= 0 and mult >= 1|must be a Direction"):
         check(*args)
 
 
 def test_base_pattern_matches_family():
     for n, k in [(0, 1), (1, 1), (2, 1), (1, 2), (2, 3)]:
-        for fid, pat in family(n, k):
+        for fid, pat in family(n, k) + family_mult(n, k):
             assert base_pattern(fid) == pat
 
 
@@ -999,16 +1015,16 @@ def test_raw_calls_answer_like_shared_hosts_with_words_interleaved():
     st.randoms(use_true_random=False),
 )
 def test_shared_host_answers_like_fresh_calls(w, n, k, rnd):
-    # Every member, with the base and the balanced group size, in a
+    # Every member of both families, each with its own group size, in a
     # shuffled order against one host.
-    checks = [(fid, mult) for fid, _ in family(n, k) for mult in (None, k + 1)]
+    checks = [fid for fid, _ in family(n, k) + family_mult(n, k)]
     rnd.shuffle(checks)
     host = _Host(w)
     by_rank = [ps for _, ps in sorted(occurrences_by_value(w).items())]
     complement = tuple(max(w, default=0) - v for v in w)
     complement_by_rank = [ps for _, ps in sorted(occurrences_by_value(complement).items())]
-    for fid, mult in checks:
-        assert find_family_member(host, fid, mult) == find_family_member(w, fid, mult), (fid, mult)
+    for fid in checks:
+        assert find_family_member(host, fid) == find_family_member(w, fid), fid
         # Each check leaves the host as a fresh one would build it.
         assert host.word == w
         assert host.occ(ID) == by_rank

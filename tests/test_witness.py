@@ -373,6 +373,9 @@ REJECTIONS = [
      "if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:"),
     ("unknown member kind", DR_WORD, lambda tr: dict(family=FamilyId("bogus", 1, 1)),
      "if fid.kind not in _KINDS:"),
+    # A double run does not read its group size, so its pattern is still 0101.
+    ("member with another group size", DR_WORD, lambda tr: dict(family=replace(tr.family, mult=3)),
+     "if fid.mult != 2:"),
     ("member named by a string", DR_WORD, lambda tr: dict(family="DoubleRun(id,id)"),
      "if not isinstance(fid, FamilyId):"),
     ("occurrence missing", DR_WORD, lambda tr: dict(occurrence=None),
