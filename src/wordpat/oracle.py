@@ -1,16 +1,20 @@
 """Exhaustive desk-scale searches: enumeration and tightness probes.
 
-Everything here is brute force on purpose.  The enumerators double as
-independent oracles for the fast checkers, and the searches probe how
-tight the repeat threshold is at parameters small enough to exhaust.
-All entry points take a guard; sizes above it raise GuardExceeded
-instead of starting a run that will not finish.
+The enumerators are brute force on purpose and double as independent
+oracles for the fast checkers.  The searches probe how tight the repeat
+threshold is at parameters small enough to exhaust, and stay exhaustive
+proofs: when a word holds a member occurrence ending at position L,
+they step past every later arrangement with the same first L letters,
+and each of those holds the same occurrence.  All entry points take a
+guard; sizes above it raise GuardExceeded instead of starting a run
+that will not finish.
 
 The two searches ask each word about the member found last first.
-Consecutive words are lexicographic neighbours and usually hold the
-same member, so most words take one check.  The order lives in a list
-made by each call and is gone when it returns; since a word either
-holds some member or none, no answer depends on it.
+Consecutive words share a long prefix and usually hold the same member,
+so most words take one check.  The order lives in a list made by each
+call and is gone when it returns.  Which member is found decides which
+words are skipped, but a skipped word is never an avoider, so no answer
+depends on the order.
 """
 
 from __future__ import annotations
@@ -81,21 +85,33 @@ def _cayley_words(length: int) -> Iterator[Word]:
 
 
 def _arrangements(letters: list[int]) -> Iterator[Word]:
-    # Lexicographic permutations of the multiset ``letters``: the
-    # standard next-permutation step from the sorted order.
+    # Lexicographic permutations of the multiset ``letters``, from the
+    # sorted order.
     a = sorted(letters)
-    while True:
+    yield tuple(a)
+    while _next_arrangement(a, len(a)):
         yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[:i:-1]
+
+
+def _next_arrangement(a: list[int], keep: int) -> bool:
+    # Step ``a`` in place to the first later arrangement, in lex order,
+    # whose first ``keep`` letters differ; False when none is left.  The
+    # last arrangement with ``a``'s first ``keep`` letters has the rest
+    # in falling order, and the standard next-permutation step goes on
+    # from there; with keep = len(a) it is the plain step.
+    if keep < len(a):
+        a[keep:] = sorted(a[keep:], reverse=True)
+    i = len(a) - 2
+    while i >= 0 and a[i] >= a[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(a) - 1
+    while a[j] <= a[i]:
+        j -= 1
+    a[i], a[j] = a[j], a[i]
+    a[i + 1 :] = a[:i:-1]
+    return True
 
 
 def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word]:
@@ -106,15 +122,17 @@ def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word
     return _arrangements([v for v in range(1, values + 1) for _ in range(mult)])
 
 
-def _holds_member(host: _Host, fam: list[FamilyId]) -> bool:
-    # Whether the word holds any member of ``fam``; the member found is
-    # moved to the front, so the next word asks it first.
+def _member_end(host: _Host, fam: list[FamilyId]) -> int:
+    # The last position of the occurrence of the first member of ``fam``
+    # the word holds, or 0 when it holds none; the member found is moved
+    # to the front, so the next word asks it first.
     for i, fid in enumerate(fam):
-        if find_family_member(host, fid) is not None:
+        found = find_family_member(host, fid)
+        if found is not None:
             if i:
                 fam.insert(0, fam.pop(i))
-            return True
-    return False
+            return found[-1]
+    return 0
 
 
 def max_repeats_avoiding(
@@ -151,13 +169,15 @@ def max_repeats_avoiding(
         base = sum(counts) - len(counts)
         if base < best_r:
             continue
-        for word in _arrangements([v for v, c in enumerate(counts) for _ in range(c)]):
-            if _holds_member(_Host(word), fam):
-                continue
+        a = [v for v, c in enumerate(counts) for _ in range(c)]
+        while end := _member_end(_Host(a), fam):
+            if not _next_arrangement(a, end):
+                break
+        else:
+            # The least avoider of these counts: later ones are lex-greater.
+            word = tuple(a)
             if base > best_r or best_w is None or word < best_w:
                 best_r, best_w = base, word
-            # Later arrangements of the same counts are lex-greater.
-            break
     return best_r, best_w
 
 
@@ -170,9 +190,10 @@ def check_unavoidability_balanced(n: int, k: int, guard: int = 16) -> bool:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    words = enumerate_balanced(n**6 + 1, k + 1, guard=guard)  # guarded before fam is built
+    # The first balanced word, in sorted order; guarded before fam is built.
+    a = list(next(enumerate_balanced(n**6 + 1, k + 1, guard=guard)))
     fam = [fid for fid, _ in family_mult(n, k)]
-    for word in words:
-        if not _holds_member(_Host(word), fam):
-            return False
-    return True
+    while end := _member_end(_Host(a), fam):
+        if not _next_arrangement(a, end):
+            return True
+    return False

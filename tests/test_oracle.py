@@ -1,7 +1,7 @@
 """Brute-force enumerators and tightness searches."""
 
 import random
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from oracles import brute_contains, ordered_bell
 from wordgen import word_with_repeats
 from wordpat import oracle
+from wordpat.cli import main
 from wordpat.construction import build
 from wordpat.guards import GuardExceeded
 from wordpat.oracle import (
@@ -181,7 +182,7 @@ def test_balanced_unavoidability_n1(k):
     assert check_unavoidability_balanced(1, k)
 
 
-@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("k", [5, 6, 7])
 def test_balanced_unavoidability_n1_at_benchmark_sizes(k):
     assert check_unavoidability_balanced(1, k)
 
@@ -199,18 +200,20 @@ def test_member_walk_answers_as_the_fixed_order_and_moves_the_hit_to_the_front()
                 w = word_with_repeats(rng, rng.randint(1, 9), k, cap=rng.random() < 0.5, singles_max=4)
                 before = list(fam)
                 held = [fid for fid in before if find_family_member(w, fid) is not None]
-                assert oracle._holds_member(_Host(w), fam) == bool(held), w
+                end = oracle._member_end(_Host(w), fam)
                 if held:
+                    assert end == find_family_member(w, held[0])[-1], w
                     assert fam == [held[0]] + [fid for fid in before if fid != held[0]], w
                 else:
+                    assert end == 0, w
                     assert fam == before, w
                 assert len(fam) == len(fids) and set(fam) == set(fids)
 
 
 def test_balanced_search_asks_about_one_member_per_word(monkeypatch):
-    # At (1, 6) DoubleRun(id,id) holds in 3382 of the C(14, 7) = 3432
-    # words; the fixed order asks two staircases before it, 10 354
-    # checks in all.
+    # At (1, 6) the search asks about 924 of the C(14, 7) = 3432 words,
+    # and asking the member found last first keeps it near one check a
+    # word.
     calls = 0
     find = oracle.find_family_member
 
@@ -221,7 +224,109 @@ def test_balanced_search_asks_about_one_member_per_word(monkeypatch):
 
     monkeypatch.setattr(oracle, "find_family_member", counting_find)
     assert check_unavoidability_balanced(1, 6)
-    assert calls <= 1.1 * 3432
+    assert calls <= 1.1 * 924
+
+
+@pytest.mark.parametrize(
+    "search,params,hosts",
+    [
+        ("check_unavoidability_balanced", (1, 5), 334),
+        ("check_unavoidability_balanced", (1, 6), 924),
+        ("max_repeats_avoiding", (2, 1, 5), 182),
+        ("max_repeats_avoiding", (1, 1, 4), 2201),
+        ("max_repeats_avoiding", (1, 2, 3), 3008),
+    ],
+)
+def test_searches_skip_the_words_that_share_an_occurrence(monkeypatch, search, params, hosts):
+    # One host per word asked.  Asking every arrangement up to the
+    # answer would build 924, 3432, 212, 2617 and 4128.
+    built = 0
+
+    def counting_host(w):
+        nonlocal built
+        built += 1
+        return _Host(w)
+
+    monkeypatch.setattr(oracle, "_Host", counting_host)
+    getattr(oracle, search)(*params)
+    assert built == hosts
+
+
+def test_next_arrangement_steps_past_every_arrangement_sharing_the_kept_prefix():
+    # Every multiset of at most 7 letters over at most 3 values, against
+    # its lexicographic order by a permutation scan: from each
+    # arrangement and each ``keep``, the step lands on the first later
+    # arrangement whose first ``keep`` letters differ, or says none is left.
+    for counts in product(range(8), repeat=3):
+        if sum(counts) > 7:
+            continue
+        letters = [v for v, c in enumerate(counts) for _ in range(c)]
+        words = sorted(set(permutations(letters)))
+        for keep in range(len(letters) + 1):
+            expect = [None] * len(words)
+            for i in range(len(words) - 2, -1, -1):
+                nxt = words[i + 1]
+                expect[i] = nxt if nxt[:keep] != words[i][:keep] else expect[i + 1]
+            for w, want in zip(words, expect):
+                a = list(w)
+                assert oracle._next_arrangement(a, keep) == (want is not None), (w, keep)
+                if want is not None:
+                    assert tuple(a) == want, (w, keep)
+
+
+def _held_by_plain_scan(members, words):
+    # For each word, the indices of the members it holds, by brute force.
+    return [(w, {i for i, (_, pat) in enumerate(members) if brute_contains(w, pat) is not None}) for w in words]
+
+
+def _subsets(members, rng):
+    # Every subset of the members, each in a random order: the order
+    # decides which occurrence a word is asked about first, and so which
+    # words the search skips.
+    for r in range(len(members) + 1):
+        for picked in combinations(range(len(members)), r):
+            yield set(picked), rng.sample([members[i] for i in picked], r)
+
+
+@pytest.mark.parametrize("n,k,max_values", [(1, 1, 3), (1, 2, 2), (2, 1, 3)])
+def test_max_repeats_with_member_subsets_matches_a_plain_scan(monkeypatch, n, k, max_values):
+    # Few members leave avoiders with many repeats; the search must find
+    # the most repeats and the least avoider that has them.
+    members = family(n, k)
+    space = []
+    for d in range(1, max_values + 1):
+        for counts in product(range(2, k + 2), repeat=d):
+            space += set(permutations([v for v, c in enumerate(counts) for _ in range(c)]))
+    table = _held_by_plain_scan(members, space)
+    for picked, chosen in _subsets(members, random.Random(19)):
+        monkeypatch.setattr(oracle, "family", lambda *_: chosen)
+        for mv in range(max_values + 1):
+            avoiders = [w for w, held in table if len(set(w)) <= mv and not held & picked]
+            best = max(map(repeats, avoiders), default=0)
+            expect = (best, min((w for w in avoiders if repeats(w) == best), default=None))
+            assert max_repeats_avoiding(n, k, mv) == expect, (picked, mv)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_balanced_check_with_member_subsets_matches_a_plain_scan(monkeypatch, k):
+    # Subsets of the balanced and base members at n = 1: the verdict is
+    # False exactly when some balanced word holds none of them.
+    members = list(dict.fromkeys(family_mult(1, k) + family(1, k)))
+    table = _held_by_plain_scan(members, set(permutations([1, 2] * (k + 1))))
+    verdicts = set()
+    for picked, chosen in _subsets(members, random.Random(19)):
+        monkeypatch.setattr(oracle, "family_mult", lambda *_: chosen)
+        expect = all(held & picked for _, held in table)
+        assert check_unavoidability_balanced(1, k) == expect, picked
+        verdicts.add(expect)
+    assert verdicts == {False, True}
+
+
+def test_balanced_check_cli_exits_1_on_an_avoider(monkeypatch, capsys):
+    # With only DoubleRun(id,id) asked, 1 2 2 1 avoids.
+    monkeypatch.setattr(oracle, "family_mult", lambda n, k: family_mult(n, k)[2:3])
+    assert main(["oracle", "balanced-check", "--n", "1", "--k", "1"]) == 1
+    assert capsys.readouterr().out == "unavoidable=False\n"
 
 
 def test_balanced_unavoidability_guard():
