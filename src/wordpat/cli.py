@@ -71,13 +71,15 @@ def _parsed(parse, what: str, text: str) -> int:
         raise UsageError(f"{what} {exc}") from None
 
 
-def _guard(args: argparse.Namespace, default: int) -> int:
+def _guard(args: argparse.Namespace) -> dict:
+    """``guard=`` for a library call when --guard or REPEATS_GUARD sets
+    one; otherwise nothing, so the library's own default applies."""
     if getattr(args, "guard", None) is not None:
-        return args.guard
+        return {"guard": args.guard}
     env = os.environ.get("REPEATS_GUARD")
     if env is not None:
-        return _parsed(_nonnegative, "REPEATS_GUARD", env)
-    return default
+        return {"guard": _parsed(_nonnegative, "REPEATS_GUARD", env)}
+    return {}
 
 
 def _occ_str(occ) -> str:
@@ -121,7 +123,7 @@ def cmd_algebra(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     check_guard(
         (args.k + 1) * args.n**6,
-        _guard(args, 100_000),
+        _guard(args).get("guard", 100_000),
         f"construction word for n={args.n}, k={args.k}",
     )
     parts = build(args.n, args.k)
@@ -131,7 +133,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(args.n, args.k, guard=_guard(args, 100_000))
+    report = verify(args.n, args.k, **_guard(args))
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -156,20 +158,20 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_cayley(args: argparse.Namespace) -> int:
-    for w in enumerate_cayley(args.length, guard=_guard(args, 10)):
+    for w in enumerate_cayley(args.length, **_guard(args)):
         print(format_word(w))
     return 0
 
 
 def cmd_oracle_balanced(args: argparse.Namespace) -> int:
-    for w in enumerate_balanced(args.values, args.mult, guard=_guard(args, 16)):
+    for w in enumerate_balanced(args.values, args.mult, **_guard(args)):
         print(format_word(w))
     return 0
 
 
 def cmd_oracle_max_repeats(args: argparse.Namespace) -> int:
     best, witness_word = max_repeats_avoiding(
-        args.n, args.k, args.max_values, guard=_guard(args, 2_000_000)
+        args.n, args.k, args.max_values, **_guard(args)
     )
     shown = "none" if witness_word is None else format_word(witness_word)
     print(f"max_repeats={best} witness={shown}")
@@ -177,7 +179,7 @@ def cmd_oracle_max_repeats(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_balanced_check(args: argparse.Namespace) -> int:
-    ok = check_unavoidability_balanced(args.n, args.k, guard=_guard(args, 16))
+    ok = check_unavoidability_balanced(args.n, args.k, **_guard(args))
     print(f"unavoidable={ok}")
     return 0 if ok else 1
 

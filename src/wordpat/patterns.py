@@ -98,7 +98,13 @@ class Direction(enum.Enum):
 class FamilyId:
     """Identifies one member of an unavoidable-pattern family, and so its
     pattern: ``mult`` is the staircase group size, 2 in the base family
-    and k+1 on the balanced family's staircases; other kinds ignore it."""
+    and k+1 on the balanced family's staircases; other kinds ignore it.
+
+    A member is checked once, when it is made (``dataclasses.replace``
+    included): an unknown kind, n < 0, mult < 1 or an orientation its
+    kind reads that is not a ``Direction`` raises ValueError.  So every
+    checker trusts the member it is handed.
+    """
 
     kind: str  # "constant" | "doubled_monotone" | "double_run"
     n: int
@@ -108,10 +114,15 @@ class FamilyId:
     mult: int = 2
 
     def __post_init__(self) -> None:
-        # So no checker is handed an orientation it would misread; an
-        # unknown kind raises where the member is used.
-        if self.kind in _KINDS:
-            _check_directions(_KINDS[self.kind].directions(self))
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown family member kind: {self.kind}")
+        if self.n < 0 or self.mult < 1:
+            raise ValueError(f"need n >= 0 and mult >= 1, got n={self.n}, mult={self.mult}")
+        # Checkers test only ``is Direction.REV``: anything else would read as ID.
+        for e in kind.directions(self):
+            if type(e) is not Direction:
+                raise ValueError(f"orientation must be a Direction, got {e!r}")
 
     def __str__(self) -> str:
         return _KINDS[self.kind].name(self)
@@ -185,11 +196,11 @@ class _Host:
     ``_chain_levels`` sets on first use, so a later ascending call on
     either reads them at once.  Checkers never modify the lists.
 
-    A caller checking several members passes one host to each check; a
-    raw tuple gets the host of ``_tuple_host``.  Two threads sharing a
-    host may each build the levels, and the later pair replaces the
-    earlier; the two are equal, and each is set only once complete, so
-    at worst work is repeated.
+    A caller checking several members passes one host to each check,
+    which ``_prepare`` passes through; a raw tuple gets the host of
+    ``_tuple_host``.  Two threads sharing a host may each build the
+    levels, and the later pair replaces the earlier; the two are equal,
+    and each is set only once complete, so at worst work is repeated.
     """
 
     __slots__ = ("word", "_occ", "_levels")
@@ -215,24 +226,14 @@ def _tuple_host(w: Word) -> _Host:
     return _Host(w)
 
 
-def _check_directions(directions: tuple) -> None:
-    # Checkers test only ``is Direction.REV``: anything else would read as ID.
-    for e in directions:
-        if type(e) is not Direction:
-            raise ValueError(f"orientation must be a Direction, got {e!r}")
-
-
-def _prepare(w, n: int, mult: int = 1, directions: tuple = ()) -> _Host:
-    """The host a checker runs on, once the member parameters and the
-    ``directions`` it reads are checked; every checker gets its host here.
+def _prepare(w) -> _Host:
+    """The host a checker runs on; every checker gets its host here, and
+    only its host: a member's parameters were checked when it was made.
 
     A host passes through.  The host of a raw tuple is kept until the
     next raw tuple arrives; any other word, a list say, may change
     between calls and gets a fresh host each time.
     """
-    if n < 0 or mult < 1:
-        raise ValueError(f"need n >= 0 and mult >= 1, got n={n}, mult={mult}")
-    _check_directions(directions)
     if type(w) is _Host:
         return w
     return _tuple_host(w) if type(w) is tuple else _Host(w)
@@ -243,13 +244,13 @@ def contains_constant(w, m: int) -> Occurrence | None:
     ``w`` is a word or a ``_Host`` shared by several checks."""
     if m < 1:
         raise ValueError(f"multiplicity must be positive, got {m}")
-    held = [ps for ps in _prepare(w, 0).occ(Direction.ID) if len(ps) >= m]
+    held = [ps for ps in _prepare(w).occ(Direction.ID) if len(ps) >= m]
     return tuple(min(held, key=lambda ps: ps[m - 1])[:m]) if held else None
 
 
 def contains_multiplied_monotone(w, n: int, mult: int, e: Direction) -> Occurrence | None:
     """Occurrence of n+1 groups of ``mult`` equal letters, monotone per ``e``."""
-    return _multiplied_monotone(_prepare(w, n, mult, (e,)), n, mult, e)
+    return find_family_member(w, FamilyId("doubled_monotone", n, 1, e, mult=mult))
 
 
 def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurrence | None:
@@ -287,7 +288,7 @@ def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurr
 def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
     """Occurrence of two position-separated monotone runs over the same
     n+1 values, the first oriented per ``e1`` and the second per ``e2``."""
-    return _double_run(_prepare(w, n, 1, (e1, e2)), n, e1, e2)
+    return find_family_member(w, FamilyId("double_run", n, 1, e1, e2))
 
 
 def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
@@ -508,13 +509,8 @@ class _Kind(NamedTuple):
     find: Callable[[_Host, FamilyId], Occurrence | None]
 
 
-class _KindTable(dict):
-    def __missing__(self, kind: str):
-        raise ValueError(f"unknown family member kind: {kind}")
-
-
 # Everything that depends on FamilyId.kind.
-_KINDS = _KindTable({
+_KINDS = {
     "constant": _Kind(
         lambda fid: "Constant",
         lambda fid: (),
@@ -533,14 +529,14 @@ _KINDS = _KindTable({
         lambda fid: double_run_pattern(fid.n, fid.e1, fid.e2),
         lambda host, fid: _double_run(host, fid.n, fid.e1, fid.e2),
     ),
-})
+}
 
 
 def find_family_member(w, fid: FamilyId) -> Occurrence | None:
     """Run the specialized checker for one family member, whose pattern
     is ``base_pattern(fid)``; ``w`` is a word or a shared ``_Host``.  The
-    member's orientations were checked when it was made."""
-    return _KINDS[fid.kind].find(_prepare(w, fid.n, fid.mult), fid)
+    member's parameters were checked when it was made."""
+    return _KINDS[fid.kind].find(_prepare(w), fid)
 
 
 def base_pattern(fid: FamilyId) -> Word:

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .monotone import NONDECREASING, es_extract
-from .patterns import _KINDS, Direction, FamilyId, contains_constant, base_pattern
+from .patterns import Direction, FamilyId, contains_constant, base_pattern
 from .words import (
     InvalidOccurrence,
     InvariantViolation,
@@ -204,6 +204,12 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     return fid, occurrence, trace
 
 
+def _ints(t) -> bool:
+    # For the short fields only: on the n^6-sized ones an element check
+    # would cost a pass over each.
+    return isinstance(t, tuple) and all(isinstance(x, int) for x in t)
+
+
 def _is_subsequence_of(sub: Occurrence, ref: Occurrence) -> bool:
     members = set(ref)
     return all(x in members for x in sub) and all(
@@ -227,17 +233,20 @@ def validate_trace(w, trace: WitnessTrace) -> bool:
 
 def _validate(w: Word, tr: WitnessTrace) -> bool:
     n, k, fid = tr.n, tr.k, tr.family
+    # A made FamilyId is a valid member, so its kind names the branch.
     if not isinstance(fid, FamilyId):
         return False
-    if n < 1 or k < 1 or fid.n != n or fid.k != k:
+    if tr.branch != fid.kind:
         return False
-    if fid.kind not in _KINDS:
+    if not isinstance(n, int) or not isinstance(k, int):
+        return False
+    if n < 1 or k < 1 or fid.n != n or fid.k != k:
         return False
     # Extraction finds base members only; a double run ignores its group
     # size, so the pattern check below would not see another one.
     if fid.mult != 2:
         return False
-    if not isinstance(tr.occurrence, tuple):
+    if not _ints(tr.occurrence):
         return False
     if standardise(subword(w, tr.occurrence)) != base_pattern(fid):
         return False
@@ -245,14 +254,12 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         # Every field the other branches set stays None.
         if tr != WitnessTrace(n, k, tr.branch, fid, tr.occurrence):
             return False
-        return fid.kind == "constant"
-    if fid.kind == "constant":
-        return False
+        return True
 
     occ = occurrences_by_value(w)
     need = n**6 + 1
     chosen = tr.chosen_values
-    if chosen is None or len(chosen) != need or len(set(chosen)) != need:
+    if not isinstance(chosen, tuple) or len(chosen) != need or len(set(chosen)) != need:
         return False
     if any(len(occ.get(v, [])) < 2 for v in chosen):
         return False
@@ -263,34 +270,32 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
     dw = tuple(sorted(firsts + [occ[v][1] for v in chosen]))
     if tr.doubled_occ != dw:
         return False
-    # Positions from the index lie in the word and rise.
-    if tr.doubled_word != tuple([w[x - 1] for x in dw]):
+    # Positions from the index lie in the word and rise.  From here on
+    # a field equal to its replayed value is read as that value.
+    doubled = tuple([w[x - 1] for x in dw])
+    if tr.doubled_word != doubled:
         return False
     first_set = set(firsts)
     if tr.firsts_occ != tuple([i for i, x in enumerate(dw, 1) if x in first_set]):
         return False
 
-    if tr.monotone_occ is None or len(tr.monotone_occ) != n**3 + 1:
+    if not _ints(tr.monotone_occ) or len(tr.monotone_occ) != n**3 + 1:
         return False
     if not _is_subsequence_of(tr.monotone_occ, tr.firsts_occ):
         return False
-    core_vals = tuple(tr.doubled_word[i - 1] for i in tr.monotone_occ)
-    if tr.monotone_direction is None:
+    core_vals = tuple(doubled[i - 1] for i in tr.monotone_occ)
+    if tr.monotone_direction is not fid.e1:
         return False
-    if not _strictly_monotone(core_vals, tr.monotone_direction):
-        return False
-    if fid.e1 is not tr.monotone_direction:
+    if not _strictly_monotone(core_vals, fid.e1):
         return False
     first_of = {v: occ[v][0] for v in core_vals}
     second_of = {v: occ[v][1] for v in core_vals}
 
     if tr.branch == "double_run":
-        if fid.kind != "double_run":
-            return False
         if tr.block_picks is not None:
             return False
         j = tr.block_start
-        if j is None or j % (n * n) != 0 or not 0 <= j <= (n - 1) * n * n:
+        if not isinstance(j, int) or j % (n * n) != 0 or not 0 <= j <= (n - 1) * n * n:
             return False
         block_vals = core_vals[j : j + n * n + 1]
         boundary_first = first_of[block_vals[-1]]
@@ -299,37 +304,30 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         rep_w = sorted(second_of[v] for v in block_vals)
         if tr.repeat_occ != tuple(bisect_left(dw, x) + 1 for x in rep_w):
             return False
-        if tr.repeat_monotone_occ is None or len(tr.repeat_monotone_occ) != n + 1:
+        if not _ints(tr.repeat_monotone_occ) or len(tr.repeat_monotone_occ) != n + 1:
             return False
         if not _is_subsequence_of(tr.repeat_monotone_occ, tr.repeat_occ):
             return False
-        rep_chosen_vals = tuple(tr.doubled_word[i - 1] for i in tr.repeat_monotone_occ)
+        rep_chosen_vals = tuple(doubled[i - 1] for i in tr.repeat_monotone_occ)
         if not _strictly_monotone(rep_chosen_vals, fid.e2):
             return False
         match_first = tuple(sorted(first_of[v] for v in rep_chosen_vals))
         if tr.firsts_match_occ != tuple(bisect_left(dw, x) + 1 for x in match_first):
             return False
-        rebuilt = tuple(dw[i - 1] for i in tr.firsts_match_occ) + tuple(
-            dw[i - 1] for i in tr.repeat_monotone_occ
-        )
-        return rebuilt == tr.occurrence
+        return match_first + tuple(dw[i - 1] for i in tr.repeat_monotone_occ) == tr.occurrence
 
-    if tr.branch == "doubled_monotone":
-        if fid.kind != "doubled_monotone":
+    # The doubled-monotone branch.
+    if (tr.block_start, tr.repeat_occ, tr.repeat_monotone_occ,
+            tr.firsts_match_occ) != (None,) * 4:
+        return False
+    picks = tr.block_picks
+    if not _ints(picks) or len(picks) != n:
+        return False
+    for t, i in enumerate(picks, start=1):
+        if not (t - 1) * n * n <= i < t * n * n:
             return False
-        if (tr.block_start, tr.repeat_occ, tr.repeat_monotone_occ,
-                tr.firsts_match_occ) != (None,) * 4:
+        if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:
             return False
-        picks = tr.block_picks
-        if picks is None or len(picks) != n:
-            return False
-        for t, i in enumerate(picks, start=1):
-            if not (t - 1) * n * n <= i < t * n * n:
-                return False
-            if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:
-                return False
-        vals = tuple(core_vals[i] for i in picks) + (core_vals[n**3],)
-        rebuilt = tuple(x for v in vals for x in (first_of[v], second_of[v]))
-        return rebuilt == tr.occurrence
-
-    return False
+    vals = tuple(core_vals[i] for i in picks) + (core_vals[n**3],)
+    rebuilt = tuple(x for v in vals for x in (first_of[v], second_of[v]))
+    return rebuilt == tr.occurrence

@@ -195,12 +195,13 @@ def format_word(w) -> str:
     """Render a word in the shared text format.
 
     Uses the compact digit string when every letter is a single digit,
-    space-separated decimals otherwise.
+    space-separated decimals otherwise; a lone letter of two digits or
+    more is followed by a comma, so that it does not read as digits.
     """
     w = tuple(w)
     if all(v <= 9 for v in w):
         return "".join(str(v) for v in w)
-    return " ".join(str(v) for v in w)
+    return " ".join(str(v) for v in w) + ("," if len(w) == 1 else "")
 
 
 def multiplicities(w) -> Counter:

@@ -56,6 +56,8 @@ def test_contains_standardises_the_pattern(capsys):
 
 def test_algebra_ops(capsys):
     assert run(capsys, "algebra", "concat", "1", "11")[1] == "111\n"
+    # A lone letter of two digits keeps a separator, so the output reads back.
+    assert run(capsys, "algebra", "concat", "12,", "")[1] == "12,\n"
     assert run(capsys, "algebra", "dsum", "31422", "4132")[1] == "314228576\n"
     assert run(capsys, "algebra", "ssum", "2413", "121")[1] == "4635121\n"
     assert run(capsys, "algebra", "dpow", "21", "3")[1] == "214365\n"
@@ -191,6 +193,34 @@ def test_guard_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "cayley", "--len", "4")
     assert code == 2
     assert "REPEATS_GUARD" in err
+
+
+GUARDED = [
+    ("verify", ["verify", "--n", "1"]),
+    ("enumerate_cayley", ["oracle", "cayley", "--len", "2"]),
+    ("enumerate_balanced", ["oracle", "balanced", "--values", "2", "--mult", "1"]),
+    ("max_repeats_avoiding", ["oracle", "max-repeats", "--n", "1", "--k", "1", "--max-values", "2"]),
+    ("check_unavoidability_balanced", ["oracle", "balanced-check", "--n", "1", "--k", "1"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GUARDED, ids=[g[0] for g in GUARDED])
+def test_guard_is_passed_only_when_set(capsys, monkeypatch, name, argv):
+    # The library's default is the only copy of each guard.
+    real = getattr(wordpat.cli, name)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("guard", "unset"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wordpat.cli, name, spy)
+    monkeypatch.delenv("REPEATS_GUARD", raising=False)
+    run(capsys, *argv)
+    run(capsys, *argv, "--guard", "1000")
+    monkeypatch.setenv("REPEATS_GUARD", "999")
+    run(capsys, *argv)
+    assert seen == ["unset", 1000, 999]
 
 
 def test_verify_guard_exceeded(capsys):

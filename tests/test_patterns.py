@@ -3,6 +3,7 @@
 import gc
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -194,8 +195,8 @@ OUT_OF_DOMAIN = [
     ),
     *((f"staircase mult=0 {e}", contains_multiplied_monotone, ((1, 2), 1, 0, e)) for e in DIRS),
     *((f"staircase n=-1 {e}", contains_multiplied_monotone, ((1, 2), -1, 1, e)) for e in DIRS),
-    ("member mult=0", find_family_member, ((0, 0, 1, 1), FamilyId("doubled_monotone", 1, 1, ID, mult=0))),
-    ("member n=-1", find_family_member, ((0, 1, 0, 1), FamilyId("double_run", -1, 1, ID, ID))),
+    ("member mult=0", _find_new_member, ((0, 0, 1, 1), "doubled_monotone", 1, 1, ID, None, 0)),
+    ("member n=-1", _find_new_member, ((0, 1, 0, 1), "double_run", -1, 1, ID, ID)),
     # The strings str(fid) prints, and None, are not orientations.
     ("double run rev,rev as strings", contains_double_run, ((2, 1, 0, 2, 1, 0), 2, "rev", "rev")),
     ("double run e1 string", contains_double_run, ((0, 1, 1, 0), 1, "id", REV)),
@@ -219,6 +220,28 @@ OUT_OF_DOMAIN += [
 def test_out_of_domain_checker_parameters_raise_value_error(check, args):
     with pytest.raises(ValueError, match="need n >= 0 and mult >= 1|must be a Direction"):
         check(*args)
+
+
+# (changes to a valid member) that make it invalid.
+BAD_MEMBERS = [
+    ("unknown kind", dict(kind="bogus")),
+    ("n=-1", dict(n=-1)),
+    ("mult=0", dict(mult=0)),
+    ("e1 a string", dict(e1="id")),
+    ("e2 a string", dict(e2="rev")),
+    ("e1 None", dict(e1=None)),
+    ("e2 None", dict(e2=None)),
+]
+
+
+@pytest.mark.parametrize("changes", [c[1] for c in BAD_MEMBERS], ids=[c[0] for c in BAD_MEMBERS])
+def test_invalid_member_raises_when_made(changes):
+    member = dict(kind="double_run", n=1, k=1, e1=ID, e2=REV, mult=2)
+    match = "unknown family member kind|need n >= 0 and mult >= 1|must be a Direction"
+    with pytest.raises(ValueError, match=match):
+        FamilyId(**{**member, **changes})
+    with pytest.raises(ValueError, match=match):
+        replace(FamilyId(**member), **changes)
 
 
 def test_base_pattern_matches_family():

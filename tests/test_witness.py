@@ -7,7 +7,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -300,10 +300,10 @@ def test_validate_rejects_wrong_word():
 
 
 # A double-run trace on (0,1,0,1), followed by blocks holding the
-# doubled staircases and the (id,rev) double run at n = 1: a trace may
-# name one of those members and point at its occurrence, so that it
-# passes the occurrence check and fails a later one.
-DR_WORD = (0, 1, 0, 1, 2, 2, 3, 3, 5, 5, 4, 4, 6, 7, 7, 6)
+# doubled staircases and the (id,rev) and (rev,id) double runs at n = 1:
+# a trace may name one of those members and point at its occurrence, so
+# that it passes the occurrence check and fails a later one.
+DR_WORD = (0, 1, 0, 1, 2, 2, 3, 3, 5, 5, 4, 4, 6, 7, 7, 6, 9, 8, 8, 9)
 # A doubled-monotone trace on (0,0,1,1), followed by a (id,id) double run.
 DM_WORD = (0, 0, 1, 1, 2, 3, 2, 3)
 
@@ -313,10 +313,10 @@ def _member(kind, e1, e2=None):
 
 
 # (case, word, changed trace fields, text of the check that must reject
-# first); a check of None is the fall-through for an unknown branch.
+# first).
 REJECTIONS = [
     ("constant member, other branch", (0, 0, 0), lambda tr: dict(branch="double_run"),
-     'if fid.kind == "constant":'),
+     "if tr.branch != fid.kind:"),
     ("chosen value occurs once", DR_WORD, lambda tr: dict(chosen_values=(0, 99)),
      "len(occ.get(v, [])) < 2"),
     ("chosen values out of first-occurrence order", DR_WORD, lambda tr: dict(chosen_values=(1, 0)),
@@ -337,14 +337,20 @@ REJECTIONS = [
      "if tr.firsts_occ != "),
     ("core not a subsequence of the firsts", DR_WORD, lambda tr: dict(monotone_occ=(2, 1)),
      "_is_subsequence_of(tr.monotone_occ, tr.firsts_occ)"),
+    ("core not a tuple", DR_WORD, lambda tr: dict(monotone_occ=list(tr.monotone_occ)),
+     "if not _ints(tr.monotone_occ)"),
+    ("core too short", DR_WORD, lambda tr: dict(monotone_occ=tr.monotone_occ[:1]),
+     "if not _ints(tr.monotone_occ)"),
     ("core direction missing", DR_WORD, lambda tr: dict(monotone_direction=None),
-     "if tr.monotone_direction is None:"),
+     "if tr.monotone_direction is not fid.e1:"),
     ("member's first run against the core", DR_WORD,
-     lambda tr: dict(family=_member("doubled_monotone", REV), occurrence=(9, 10, 11, 12)),
-     "if fid.e1 is not tr.monotone_direction:"),
+     lambda tr: dict(family=_member("double_run", REV, ID), occurrence=(17, 18, 19, 20)),
+     "if tr.monotone_direction is not fid.e1:"),
     ("double-run branch, other member", DR_WORD,
      lambda tr: dict(family=_member("doubled_monotone", ID), occurrence=(5, 6, 7, 8)),
-     'if fid.kind != "double_run":'),
+     "if tr.branch != fid.kind:"),
+    ("block start a string", DR_WORD, lambda tr: dict(block_start="0"),
+     "if not isinstance(j, int)"),
     ("block not separated", DM_WORD,
      lambda tr: dict(branch="double_run", family=_member("double_run", ID, ID),
                      occurrence=(5, 6, 7, 8), block_start=0, block_picks=None),
@@ -354,7 +360,7 @@ REJECTIONS = [
     ("repeat positions missing", DR_WORD, lambda tr: dict(repeat_occ=None),
      "if tr.repeat_occ != "),
     ("repeat run missing", DR_WORD, lambda tr: dict(repeat_monotone_occ=None),
-     "if tr.repeat_monotone_occ is None"),
+     "if not _ints(tr.repeat_monotone_occ)"),
     ("repeat run not a subsequence", DR_WORD, lambda tr: dict(repeat_monotone_occ=(4, 3)),
      "_is_subsequence_of(tr.repeat_monotone_occ, tr.repeat_occ)"),
     ("member's second run against the repeats", DR_WORD,
@@ -365,28 +371,32 @@ REJECTIONS = [
     ("matching first positions missing", DR_WORD, lambda tr: dict(firsts_match_occ=None),
      "if tr.firsts_match_occ != "),
     ("block picks missing", DM_WORD, lambda tr: dict(block_picks=None),
-     "if picks is None or len(picks) != n:"),
+     "if not _ints(picks) or len(picks) != n:"),
+    ("block picks not ints", DM_WORD, lambda tr: dict(block_picks=(0.5,)),
+     "if not _ints(picks) or len(picks) != n:"),
     ("picked pair not before the next block", DR_WORD,
      lambda tr: dict(branch="doubled_monotone", family=_member("doubled_monotone", ID),
                      occurrence=(5, 6, 7, 8), block_picks=(0,), block_start=None, repeat_occ=None,
                      repeat_monotone_occ=None, firsts_match_occ=None),
      "if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:"),
-    ("unknown member kind", DR_WORD, lambda tr: dict(family=FamilyId("bogus", 1, 1)),
-     "if fid.kind not in _KINDS:"),
     # A double run does not read its group size, so its pattern is still 0101.
     ("member with another group size", DR_WORD, lambda tr: dict(family=replace(tr.family, mult=3)),
      "if fid.mult != 2:"),
     ("member named by a string", DR_WORD, lambda tr: dict(family="DoubleRun(id,id)"),
      "if not isinstance(fid, FamilyId):"),
+    ("n a string", DR_WORD, lambda tr: dict(n="1"),
+     "if not isinstance(n, int) or not isinstance(k, int):"),
     ("occurrence missing", DR_WORD, lambda tr: dict(occurrence=None),
-     "if not isinstance(tr.occurrence, tuple):"),
+     "if not _ints(tr.occurrence):"),
+    ("occurrence with a string", DR_WORD, lambda tr: dict(occurrence=(1, "2", 3, 4)),
+     "if not _ints(tr.occurrence):"),
     ("constant trace with chosen values", (0, 0, 0), lambda tr: dict(chosen_values=(5, 6)),
      "if tr != WitnessTrace("),
     ("double-run trace with block picks", (0, 1, 0, 1), lambda tr: dict(block_picks=(0,)),
      "if tr.block_picks is not None:"),
     ("doubled-monotone trace with double-run fields", (0, 0, 1, 1),
      lambda tr: dict(block_start=0, repeat_occ=(1,)), "tr.firsts_match_occ) != (None,) * 4:"),
-    ("unknown branch", DR_WORD, lambda tr: dict(branch="bogus"), None),
+    ("unknown branch", DR_WORD, lambda tr: dict(branch="bogus"), "if tr.branch != fid.kind:"),
 ]
 
 
@@ -419,23 +429,40 @@ def test_each_validation_check_rejects_first(w, changes, check):
     _, _, trace = extract_witness(w, 1, 1)
     assert validate_trace(w, trace)
     lines, start = inspect.getsourcelines(witness._validate)
-    if check is None:
-        want = start + len(lines) - 1
-    else:
-        (at,) = [start + i for i, line in enumerate(lines) if check in line]
-        want = at + 1
+    (at,) = [start + i for i, line in enumerate(lines) if check in line]
+    want = at + 1
     assert lines[want - start].strip() == "return False"
     assert _rejecting_line(w, replace(trace, **changes(trace))) == want
 
 
 def test_unknown_member_kind_raises_value_error():
-    bogus = FamilyId("bogus", 1, 1)
+    # When the member is made, so no checker, name or pattern sees it.
     with pytest.raises(ValueError, match="unknown family member kind"):
-        str(bogus)
+        FamilyId("bogus", 1, 1)
     with pytest.raises(ValueError, match="unknown family member kind"):
-        find_family_member((0, 1, 0, 1), bogus)
-    with pytest.raises(ValueError, match="unknown family member kind"):
-        base_pattern(bogus)
+        replace(FamilyId("double_run", 1, 1, ID, ID), kind="bogus")
+
+
+# Values of the wrong type, or of the right type and out of range, put
+# in place of one trace field at a time.
+FUZZ_VALUES = ["a", None, 0.5, -1, ("a",), (1, "2"), [1, 2]]
+FUZZ_WORDS = [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0)]
+
+
+def test_validate_returns_false_on_any_wrong_field():
+    branches = set()
+    for w in FUZZ_WORDS:
+        _, _, trace = extract_witness(w, 1, 1)
+        assert validate_trace(w, trace)
+        branches.add(trace.branch)
+        for f in fields(trace):
+            own = getattr(trace, f.name)
+            values = FUZZ_VALUES + [list(own)] if isinstance(own, tuple) else FUZZ_VALUES
+            for value in values:
+                if value != own:
+                    bad = replace(trace, **{f.name: value})
+                    assert validate_trace(w, bad) is False, (w, f.name, value)
+    assert branches == {"constant", "double_run", "doubled_monotone"}
 
 
 def test_threshold_boundary_repeat_counts():
