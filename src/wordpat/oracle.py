@@ -3,11 +3,13 @@
 The enumerators are brute force on purpose and double as independent
 oracles for the fast checkers.  The searches probe how tight the repeat
 threshold is at parameters small enough to exhaust, and stay exhaustive
-proofs: when a word holds a member occurrence ending at position L,
-they step past every later arrangement with the same first L letters,
-and each of those holds the same occurrence.  All entry points take a
-guard; sizes above it raise GuardExceeded instead of starting a run
-that will not finish.
+proofs.  When a word holds a member occurrence, let L be the 1-based
+position of its last letter before its final run of equal letters (its
+first if it is one run): every later arrangement with the same first L
+letters has as many copies of the run's value after L, so holds the
+same occurrence, and the searches step past them all.  All entry points
+take a guard; sizes above it raise GuardExceeded instead of starting a
+run that will not finish.
 
 The two searches ask each word about the member found last first.
 Consecutive words share a long prefix and usually hold the same member,
@@ -123,15 +125,21 @@ def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word
 
 
 def _member_end(host: _Host, fam: list[FamilyId]) -> int:
-    # The last position of the occurrence of the first member of ``fam``
-    # the word holds, or 0 when it holds none; the member found is moved
-    # to the front, so the next word asks it first.
+    # How many first letters fix the occurrence of the first member of
+    # ``fam`` the word holds, or 0 when it holds none; the member found
+    # is moved to the front, so the next word asks it first.  Positions
+    # are 1-based, so found[j], the last letter before the occurrence's
+    # final run of one value v (found[0] if it is one run), is a prefix
+    # length; every arrangement with that prefix has as many v after it.
     for i, fid in enumerate(fam):
         found = find_family_member(host, fid)
         if found is not None:
             if i:
                 fam.insert(0, fam.pop(i))
-            return found[-1]
+            v, j = host.word[found[-1] - 1], len(found) - 2
+            while j > 0 and host.word[found[j] - 1] == v:
+                j -= 1
+            return found[j]
     return 0
 
 

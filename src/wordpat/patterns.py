@@ -101,9 +101,10 @@ class FamilyId:
     and k+1 on the balanced family's staircases; other kinds ignore it.
 
     A member is checked once, when it is made (``dataclasses.replace``
-    included): an unknown kind, n < 0, mult < 1 or an orientation its
-    kind reads that is not a ``Direction`` raises ValueError.  So every
-    checker trusts the member it is handed.
+    included): an unknown kind, an n, k or mult that is not an int,
+    n < 0, k < 1, mult < 1 or an orientation its kind reads that is not
+    a ``Direction`` raises ValueError.  So every checker trusts the
+    member it is handed.
     """
 
     kind: str  # "constant" | "doubled_monotone" | "double_run"
@@ -117,8 +118,9 @@ class FamilyId:
         kind = _KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown family member kind: {self.kind}")
-        if self.n < 0 or self.mult < 1:
-            raise ValueError(f"need n >= 0 and mult >= 1, got n={self.n}, mult={self.mult}")
+        n, k, mult = self.n, self.k, self.mult
+        if not all(isinstance(x, int) for x in (n, k, mult)) or n < 0 or k < 1 or mult < 1:
+            raise ValueError(f"need ints n >= 0, k >= 1 and mult >= 1, got {n!r}, {k!r}, {mult!r}")
         # Checkers test only ``is Direction.REV``: anything else would read as ID.
         for e in kind.directions(self):
             if type(e) is not Direction:
@@ -151,9 +153,8 @@ def double_run_pattern(n: int, e1: Direction, e2: Direction) -> Word:
 def _members(n: int, k: int, balanced: bool) -> tuple[tuple[FamilyId, Word], ...]:
     """Family members in the fixed order, degenerate duplicates collapsed;
     the balanced family drops the constant and sizes its staircases k+1.
-    Built once per argument tuple, so callers copy before handing it out."""
-    if n < 0 or k < 1:
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+    The first member made checks n and k.  Built once per argument
+    tuple, so callers copy before handing it out."""
     fids = [] if balanced else [FamilyId("constant", n, k)]
     fids += [FamilyId("doubled_monotone", n, k, e, mult=k + 1 if balanced else 2) for e in Direction]
     fids += [FamilyId("double_run", n, k, e1, e2) for e1 in Direction for e2 in Direction]

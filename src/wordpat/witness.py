@@ -205,8 +205,8 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
 
 
 def _ints(t) -> bool:
-    # For the short fields only: on the n^6-sized ones an element check
-    # would cost a pass over each.
+    # For the short fields, and ``chosen_values`` before set() hashes it;
+    # on the other n^6-sized ones an element check would cost a pass.
     return isinstance(t, tuple) and all(isinstance(x, int) for x in t)
 
 
@@ -259,7 +259,7 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
     occ = occurrences_by_value(w)
     need = n**6 + 1
     chosen = tr.chosen_values
-    if not isinstance(chosen, tuple) or len(chosen) != need or len(set(chosen)) != need:
+    if not _ints(chosen) or len(chosen) != need or len(set(chosen)) != need:
         return False
     if any(len(occ.get(v, [])) < 2 for v in chosen):
         return False

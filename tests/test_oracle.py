@@ -1,7 +1,7 @@
 """Brute-force enumerators and tightness searches."""
 
 import random
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 from math import factorial
 
 import pytest
@@ -18,7 +18,7 @@ from wordpat.oracle import (
     enumerate_cayley,
     max_repeats_avoiding,
 )
-from wordpat.patterns import _Host, family, family_mult, find_family_member, base_pattern
+from wordpat.patterns import Direction, FamilyId, _Host, family, family_mult, find_family_member, base_pattern
 from wordpat.words import is_pattern, repeats, standardise
 
 
@@ -202,7 +202,10 @@ def test_member_walk_answers_as_the_fixed_order_and_moves_the_hit_to_the_front()
                 held = [fid for fid in before if find_family_member(w, fid) is not None]
                 end = oracle._member_end(_Host(w), fam)
                 if held:
-                    assert end == find_family_member(w, held[0])[-1], w
+                    # The last position before the occurrence's final run of
+                    # equal letters, or its first if it is one run.
+                    runs = [list(g) for _, g in groupby(find_family_member(w, held[0]), lambda x: w[x - 1])]
+                    assert end == (runs[-2][-1] if len(runs) > 1 else runs[0][0]), w
                     assert fam == [held[0]] + [fid for fid in before if fid != held[0]], w
                 else:
                     assert end == 0, w
@@ -211,9 +214,9 @@ def test_member_walk_answers_as_the_fixed_order_and_moves_the_hit_to_the_front()
 
 
 def test_balanced_search_asks_about_one_member_per_word(monkeypatch):
-    # At (1, 6) the search asks about 924 of the C(14, 7) = 3432 words,
+    # At (1, 6) the search asks about 170 of the C(14, 7) = 3432 words,
     # and asking the member found last first keeps it near one check a
-    # word.
+    # word: 209 checks in all.
     calls = 0
     find = oracle.find_family_member
 
@@ -224,22 +227,23 @@ def test_balanced_search_asks_about_one_member_per_word(monkeypatch):
 
     monkeypatch.setattr(oracle, "find_family_member", counting_find)
     assert check_unavoidability_balanced(1, 6)
-    assert calls <= 1.1 * 924
+    assert calls <= 1.25 * 170
 
 
 @pytest.mark.parametrize(
     "search,params,hosts",
     [
-        ("check_unavoidability_balanced", (1, 5), 334),
-        ("check_unavoidability_balanced", (1, 6), 924),
-        ("max_repeats_avoiding", (2, 1, 5), 182),
-        ("max_repeats_avoiding", (1, 1, 4), 2201),
-        ("max_repeats_avoiding", (1, 2, 3), 3008),
+        ("check_unavoidability_balanced", (1, 5), 94),
+        ("check_unavoidability_balanced", (1, 6), 170),
+        ("max_repeats_avoiding", (2, 1, 5), 21),
+        ("max_repeats_avoiding", (1, 1, 4), 521),
+        ("max_repeats_avoiding", (1, 2, 3), 341),
     ],
 )
 def test_searches_skip_the_words_that_share_an_occurrence(monkeypatch, search, params, hosts):
     # One host per word asked.  Asking every arrangement up to the
-    # answer would build 924, 3432, 212, 2617 and 4128.
+    # answer would build 924, 3432, 212, 2617 and 4128, and keeping the
+    # whole occurrence as the prefix 334, 924, 182, 2201 and 3008.
     built = 0
 
     def counting_host(w):
@@ -250,6 +254,45 @@ def test_searches_skip_the_words_that_share_an_occurrence(monkeypatch, search, p
     monkeypatch.setattr(oracle, "_Host", counting_host)
     getattr(oracle, search)(*params)
     assert built == hosts
+
+
+def _planted(rng, pat):
+    # The pattern, spread out, with up to 9 - len(pat) random letters put in.
+    w = [2 * v for v in pat]
+    for _ in range(rng.randint(0, 9 - len(pat))):
+        w.insert(rng.randint(0, len(w)), rng.randint(0, 2 * max(pat) + 2))
+    return tuple(w)
+
+
+def test_every_arrangement_keeping_the_skip_prefix_holds_the_member_found():
+    # The skip is sound: every arrangement of a word that keeps its first
+    # ``_member_end`` letters holds the member found, by brute force.
+    # Half the words are random, half have the pattern planted, so every
+    # member whose pattern fits in 9 letters fires: constants and
+    # staircases of group size 1 included.
+    rng = random.Random(21)
+    members = {fid for n in (0, 1, 2) for k in (1, 2, 3) for fid, _ in family(n, k) + family_mult(n, k)}
+    members |= {FamilyId("doubled_monotone", n, 1, e, mult=1) for n in (1, 2) for e in Direction}
+    fired = set()
+    for fid in sorted(members, key=repr):
+        pat = base_pattern(fid)
+        for i in range(10):
+            if i % 2 and len(pat) <= 9:
+                w = _planted(rng, pat)
+            else:
+                w = word_with_repeats(rng, rng.randint(1, 5), fid.k, cap=rng.random() < 0.5, singles_max=4)[:9]
+            end = oracle._member_end(_Host(w), [fid])
+            if find_family_member(w, fid) is None:
+                assert end == 0, (fid, w)
+                continue
+            # 0 would read as "avoider".
+            assert end >= 1, (fid, w)
+            fired.add(fid)
+            for rest in set(permutations(w[end:])):
+                assert brute_contains(w[:end] + rest, pat) is not None, (fid, w, rest)
+    assert fired == {fid for fid in members if len(base_pattern(fid)) <= 9}
+    assert {fid.kind for fid in fired} == {"constant", "doubled_monotone", "double_run"}
+    assert any(fid.mult == 1 for fid in fired)
 
 
 def test_next_arrangement_steps_past_every_arrangement_sharing_the_kept_prefix():

@@ -139,6 +139,11 @@ def test_family_rejects_bad_parameters():
         family(1, 0)
     with pytest.raises(ValueError):
         family_mult(1, 0)
+    # k < 1 and n, k or mult that are not ints raise ValueError, not
+    # TypeError, as the member is made.
+    for args in [("constant", 1, -1), ("constant", 1, 0), ("double_run", 1.5, 1, ID, ID), ("constant", "1", 1)]:
+        with pytest.raises(ValueError):
+            FamilyId(*args)
 
 
 def test_contains_constant_examples():
@@ -218,7 +223,7 @@ OUT_OF_DOMAIN += [
     "check, args", [case[1:] for case in OUT_OF_DOMAIN], ids=[case[0] for case in OUT_OF_DOMAIN]
 )
 def test_out_of_domain_checker_parameters_raise_value_error(check, args):
-    with pytest.raises(ValueError, match="need n >= 0 and mult >= 1|must be a Direction"):
+    with pytest.raises(ValueError, match="need ints n >= 0, k >= 1 and mult >= 1|must be a Direction"):
         check(*args)
 
 
@@ -227,6 +232,10 @@ BAD_MEMBERS = [
     ("unknown kind", dict(kind="bogus")),
     ("n=-1", dict(n=-1)),
     ("mult=0", dict(mult=0)),
+    ("k=0", dict(k=0)),
+    ("n a float", dict(n=1.5)),
+    ("k a string", dict(k="1")),
+    ("mult None", dict(mult=None)),
     ("e1 a string", dict(e1="id")),
     ("e2 a string", dict(e2="rev")),
     ("e1 None", dict(e1=None)),
@@ -237,7 +246,7 @@ BAD_MEMBERS = [
 @pytest.mark.parametrize("changes", [c[1] for c in BAD_MEMBERS], ids=[c[0] for c in BAD_MEMBERS])
 def test_invalid_member_raises_when_made(changes):
     member = dict(kind="double_run", n=1, k=1, e1=ID, e2=REV, mult=2)
-    match = "unknown family member kind|need n >= 0 and mult >= 1|must be a Direction"
+    match = "unknown family member kind|need ints n >= 0, k >= 1 and mult >= 1|must be a Direction"
     with pytest.raises(ValueError, match=match):
         FamilyId(**{**member, **changes})
     with pytest.raises(ValueError, match=match):

@@ -317,6 +317,8 @@ def _member(kind, e1, e2=None):
 REJECTIONS = [
     ("constant member, other branch", (0, 0, 0), lambda tr: dict(branch="double_run"),
      "if tr.branch != fid.kind:"),
+    ("chosen values unhashable", DR_WORD, lambda tr: dict(chosen_values=([0], [1])),
+     "if not _ints(chosen) or len(chosen) != need"),
     ("chosen value occurs once", DR_WORD, lambda tr: dict(chosen_values=(0, 99)),
      "len(occ.get(v, [])) < 2"),
     ("chosen values out of first-occurrence order", DR_WORD, lambda tr: dict(chosen_values=(1, 0)),
@@ -445,7 +447,7 @@ def test_unknown_member_kind_raises_value_error():
 
 # Values of the wrong type, or of the right type and out of range, put
 # in place of one trace field at a time.
-FUZZ_VALUES = ["a", None, 0.5, -1, ("a",), (1, "2"), [1, 2]]
+FUZZ_VALUES = ["a", None, 0.5, -1, ("a",), (1, "2"), [1, 2], ([0], [1])]
 FUZZ_WORDS = [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0)]
 
 
