@@ -15,7 +15,7 @@ import sys
 
 from .algebra import concat, direct_power, direct_sum, skew_power, skew_sum
 from .construction import build, verify
-from .guards import GuardExceeded, check_guard
+from .guards import GuardExceeded
 from .oracle import (
     check_unavoidability_balanced,
     enumerate_balanced,
@@ -121,12 +121,7 @@ def cmd_algebra(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    check_guard(
-        (args.k + 1) * args.n**6,
-        _guard(args).get("guard", 100_000),
-        f"construction word for n={args.n}, k={args.k}",
-    )
-    parts = build(args.n, args.k)
+    parts = build(args.n, args.k, **_guard(args))
     part = getattr(parts, "r_prime" if args.part == "rprime" else args.part)
     print(" ".join(str(v) for v in part))
     return 0

@@ -42,7 +42,10 @@ class ConstructionParts:
     s: Word
 
 
-def build(n: int, k: int) -> ConstructionParts:
+def build(n: int, k: int, guard: int = 100_000) -> ConstructionParts:
+    """Every part of the construction, guarded by the length (k+1) n^6 of s."""
+    _check_nk(n, k)
+    check_guard((k + 1) * n**6, guard, f"construction word for n={n}, k={k}")
     p, t, r, r_prime, q = _build_q(n, k)
     s = skew_power(direct_power(q, n), n)
     return ConstructionParts(n=n, k=k, p=p, t=t, r=r, r_prime=r_prime, q=q, s=s)
@@ -59,10 +62,14 @@ def _build_q(n: int, k: int) -> tuple[Word, Word, Word, Word, Word]:
 def _build_r(n: int, k: int) -> tuple[Word, Word]:
     """t and r of ``build(n, k)``; every part is built from them, so n and
     k are checked here."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_nk(n, k)
     t = tuple(v for v in range(1, n + 1) for _ in range(k))
     return t, skew_power(t, n)
+
+
+def _check_nk(n: int, k: int) -> None:
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,9 @@ def verify(n: int, k: int, guard: int = 100_000) -> VerifyReport:
     family: multiplied staircases with group size k+1 and the four
     double runs over n+1 values.  Guarded by the length (k+1) n^6.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_nk(n, k)
     check_guard((k + 1) * n**6, guard, f"verification word for n={n}, k={k}")
-    return _report(n, k, lambda: build(n, k).s, family_mult(n, k))
+    return _report(n, k, lambda: build(n, k, guard).s, family_mult(n, k))
 
 
 def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
@@ -116,8 +122,7 @@ def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
     double runs over n+1 values.  Reported, not asserted: a failing
     member shows up as False in ``avoided``.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_nk(n, k)
     check_guard((k + 1) * n**4, guard, f"intermediate word for n={n}, k={k}")
     # n >= 1 collapses no member: two staircases, then four double runs.
     return _report(n, k, lambda: _build_q(n, k)[-1], family_mult(1, k)[:2] + family_mult(n, k)[2:])

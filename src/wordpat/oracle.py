@@ -11,12 +11,12 @@ same occurrence, and the searches step past them all.  All entry points
 take a guard; sizes above it raise GuardExceeded instead of starting a
 run that will not finish.
 
-The two searches ask each word about the member found last first.
-Consecutive words share a long prefix and usually hold the same member,
-so most words take one check.  The order lives in a list made by each
-call and is gone when it returns.  Which member is found decides which
-words are skipped, but a skipped word is never an avoider, so no answer
-depends on the order.
+The searches ask each word about the members in the family's own
+order and stop at the first one it holds.  ``max_repeats_avoiding``
+leaves the constant out: its words use each value at most k+1 times,
+so the k+2 copies the constant needs never occur.  Which member is
+found decides how far a search steps, but a skipped word is never an
+avoider, so no answer depends on the order.
 """
 
 from __future__ import annotations
@@ -126,16 +126,13 @@ def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word
 
 def _member_end(host: _Host, fam: list[FamilyId]) -> int:
     # How many first letters fix the occurrence of the first member of
-    # ``fam`` the word holds, or 0 when it holds none; the member found
-    # is moved to the front, so the next word asks it first.  Positions
-    # are 1-based, so found[j], the last letter before the occurrence's
+    # ``fam`` the word holds, or 0 when it holds none.  Positions are
+    # 1-based, so found[j], the last letter before the occurrence's
     # final run of one value v (found[0] if it is one run), is a prefix
     # length; every arrangement with that prefix has as many v after it.
-    for i, fid in enumerate(fam):
+    for fid in fam:
         found = find_family_member(host, fid)
         if found is not None:
-            if i:
-                fam.insert(0, fam.pop(i))
             v, j = host.word[found[-1] - 1], len(found) - 2
             while j > 0 and host.word[found[j] - 1] == v:
                 j -= 1
@@ -170,7 +167,8 @@ def max_repeats_avoiding(
                     f"avoidance search space has size at least {space}, above the guard {guard}"
                 )
             vectors.append(counts)
-    fam = [fid for fid, _ in family(n, k)]
+    # No word here has k+2 copies of a value, so the constant never occurs.
+    fam = [fid for fid, _ in family(n, k) if fid.kind != "constant"]
     best_r = 0
     best_w: Word | None = None
     for counts in vectors:

@@ -53,6 +53,11 @@ def test_operand_preconditions():
             op((1,), 0)
         with pytest.raises(ValueError):
             op((1,), -2)
+        # The operand is checked at every power, the first included.
+        for m in (1, 2, 3):
+            for bad in ((), (0,), (2, 0)):
+                with pytest.raises(ValueError):
+                    op(bad, m)
 
 
 @given(positive_words, positive_words, positive_words)

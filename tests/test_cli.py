@@ -72,6 +72,11 @@ def test_algebra_errors(capsys):
     code, _, err = run(capsys, "algebra", "dsum", "01", "1")
     assert code == 1
     assert "error:" in err
+    # A power's operand is checked even when no sum runs.
+    for m in ("1", "2"):
+        code, out, err = run(capsys, "algebra", "dpow", "0", m)
+        assert (code, out) == (1, "")
+        assert "must not contain the value 0" in err
 
 
 def test_construct_parts(capsys):
@@ -196,6 +201,7 @@ def test_guard_flag_and_env(capsys, monkeypatch):
 
 
 GUARDED = [
+    ("build", ["construct", "--n", "1"]),
     ("verify", ["verify", "--n", "1"]),
     ("enumerate_cayley", ["oracle", "cayley", "--len", "2"]),
     ("enumerate_balanced", ["oracle", "balanced", "--values", "2", "--mult", "1"]),

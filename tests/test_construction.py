@@ -237,5 +237,24 @@ def test_verify_guard(monkeypatch):
         verify_q_lemma(1, 0)
 
 
+def test_build_guard(monkeypatch):
+    with pytest.raises(GuardExceeded) as exc:
+        build(7, 1)  # s has 235298 letters, over the default guard
+    assert exc.value.args[0] == "construction word for n=7, k=1 has size 235298, above the guard 100000"
+    with pytest.raises(GuardExceeded):
+        build(2, 1, guard=127)
+    assert len(build(2, 1, guard=128).s) == 128
+    # Bad parameters are reported as such, before the guard.
+    with pytest.raises(ValueError) as exc:
+        build(0, 1, guard=-1)
+    assert not isinstance(exc.value, GuardExceeded)
+    # verify hands its guard on to build.
+    seen = []
+    real = construction.build
+    monkeypatch.setattr(construction, "build", lambda n, k, guard: seen.append(guard) or real(n, k, guard))
+    assert verify(2, 1, guard=200).ok
+    assert seen == [200]
+
+
 def test_build_deterministic():
     assert build(2, 2) == build(2, 2)

@@ -67,16 +67,47 @@ SINGLE_MEMBER_WORDS = {
 }
 
 
-@pytest.mark.parametrize("index, member", SINGLE_MEMBER_WORDS.items(), ids=SINGLE_MEMBER_WORDS.values())
-def test_single_member_near_miss_words_hold_exactly_that_member(index, member):
-    members = family(2, 1)
-    w = near_miss_words(2, 300, seed=2)[index][3]
+def _assert_holds_only(w, n, member):
+    # On a shared host, on the raw word and by the references.
+    members = family(n, 1)
     host = _Host(w)
     shared = {fid: find_family_member(host, fid) for fid, _ in members}
     raw = {fid: find_family_member(w, fid) for fid, _ in members}
     ref = {fid: _reference(w, fid) for fid, _ in members}
     for found in (shared, raw, ref):
         assert {str(fid) for fid, occ in found.items() if occ is not None} == {member}
+
+
+@pytest.mark.parametrize("index, member", SINGLE_MEMBER_WORDS.items(), ids=SINGLE_MEMBER_WORDS.values())
+def test_single_member_near_miss_words_hold_exactly_that_member(index, member):
+    _assert_holds_only(near_miss_words(2, 300, seed=2)[index][3], 2, member)
+
+
+# The same at n = 3: the first word of near_miss_words(3, 2000, 11)
+# where each non-constant member is the only one present, as
+# index -> (x, i, j).  So no member but the constant can be dropped from
+# family(3, 1) either.  The references take about 0.4 s a word.
+SINGLE_MEMBER_WORDS_N3 = {
+    "DoubledMonotone(id)": (25, (1, 429, 437)),
+    "DoubledMonotone(rev)": (47, (791, 150, 152)),
+    "DoubleRun(id,id)": (1489, (1383, 316, 437)),
+    "DoubleRun(id,rev)": (450, (279, 500, 978)),
+    "DoubleRun(rev,id)": (783, (1163, 233, 248)),
+    "DoubleRun(rev,rev)": (998, (601, 517, 586)),
+}
+
+
+@pytest.fixture(scope="module")
+def near_miss_n3():
+    return near_miss_words(3, 2000, 11)
+
+
+@pytest.mark.parametrize("member, pinned", SINGLE_MEMBER_WORDS_N3.items(), ids=SINGLE_MEMBER_WORDS_N3)
+def test_single_member_near_miss_words_at_n3_hold_exactly_that_member(near_miss_n3, member, pinned):
+    index, where = pinned
+    x, i, j, w = near_miss_n3[index]
+    assert (x, i, j) == where
+    _assert_holds_only(w, 3, member)
 
 
 @pytest.mark.slow
