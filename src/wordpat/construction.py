@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import concat, direct_power, skew_power
-from .guards import check_guard
+from .guards import check_guard, check_nk
 from .monotone import longest_nondecreasing, longest_nonincreasing
 from .patterns import FamilyId, _Host, contains_constant, family_mult, find_family_member
 from .words import Word, multiplicities, repeats
@@ -44,7 +44,7 @@ class ConstructionParts:
 
 def build(n: int, k: int, guard: int = 100_000) -> ConstructionParts:
     """Every part of the construction, guarded by the length (k+1) n^6 of s."""
-    _check_nk(n, k)
+    check_nk(n, k)
     check_guard((k + 1) * n**6, guard, f"construction word for n={n}, k={k}")
     p, t, r, r_prime, q = _build_q(n, k)
     s = skew_power(direct_power(q, n), n)
@@ -62,14 +62,9 @@ def _build_q(n: int, k: int) -> tuple[Word, Word, Word, Word, Word]:
 def _build_r(n: int, k: int) -> tuple[Word, Word]:
     """t and r of ``build(n, k)``; every part is built from them, so n and
     k are checked here."""
-    _check_nk(n, k)
+    check_nk(n, k)
     t = tuple(v for v in range(1, n + 1) for _ in range(k))
     return t, skew_power(t, n)
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ def verify(n: int, k: int, guard: int = 100_000) -> VerifyReport:
     family: multiplied staircases with group size k+1 and the four
     double runs over n+1 values.  Guarded by the length (k+1) n^6.
     """
-    _check_nk(n, k)
+    check_nk(n, k)
     check_guard((k + 1) * n**6, guard, f"verification word for n={n}, k={k}")
     return _report(n, k, lambda: build(n, k, guard).s, family_mult(n, k))
 
@@ -122,7 +117,7 @@ def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
     double runs over n+1 values.  Reported, not asserted: a failing
     member shows up as False in ``avoided``.
     """
-    _check_nk(n, k)
+    check_nk(n, k)
     check_guard((k + 1) * n**4, guard, f"intermediate word for n={n}, k={k}")
     # n >= 1 collapses no member: two staircases, then four double runs.
     return _report(n, k, lambda: _build_q(n, k)[-1], family_mult(1, k)[:2] + family_mult(n, k)[2:])

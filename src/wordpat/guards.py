@@ -1,4 +1,4 @@
-"""Size guards for desk-scale enumeration and verification entry points."""
+"""Shared argument checks: size guards for desk-scale runs, and the (n, k) range."""
 
 
 class GuardExceeded(ValueError):
@@ -12,3 +12,8 @@ class GuardExceeded(ValueError):
 def check_guard(size: int, guard: int, what: str) -> None:
     if size > guard:
         raise GuardExceeded(f"{what} has size {size}, above the guard {guard}")
+
+
+def check_nk(n: int, k: int) -> None:
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")

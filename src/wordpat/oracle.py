@@ -25,7 +25,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .guards import GuardExceeded, check_guard
+from .guards import GuardExceeded, check_guard, check_nk
 from .patterns import FamilyId, _Host, family, family_mult, find_family_member
 from .words import Word
 
@@ -140,6 +140,14 @@ def _member_end(host: _Host, fam: list[FamilyId]) -> int:
     return 0
 
 
+def _first_avoider(a: list[int], fam: list[FamilyId]) -> Word | None:
+    # Step ``a`` in place past every word holding a member of ``fam``: the first avoider, else None.
+    while end := _member_end(_Host(a), fam):
+        if not _next_arrangement(a, end):
+            return None
+    return tuple(a)
+
+
 def max_repeats_avoiding(
     n: int, k: int, max_values: int, guard: int = 2_000_000
 ) -> tuple[int, Word | None]:
@@ -175,15 +183,10 @@ def max_repeats_avoiding(
         base = sum(counts) - len(counts)
         if base < best_r:
             continue
-        a = [v for v, c in enumerate(counts) for _ in range(c)]
-        while end := _member_end(_Host(a), fam):
-            if not _next_arrangement(a, end):
-                break
-        else:
-            # The least avoider of these counts: later ones are lex-greater.
-            word = tuple(a)
-            if base > best_r or best_w is None or word < best_w:
-                best_r, best_w = base, word
+        # The least avoider of these counts: later ones are lex-greater.
+        word = _first_avoider([v for v, c in enumerate(counts) for _ in range(c)], fam)
+        if word is not None and (base > best_r or best_w is None or word < best_w):
+            best_r, best_w = base, word
     return best_r, best_w
 
 
@@ -194,12 +197,7 @@ def check_unavoidability_balanced(n: int, k: int, guard: int = 16) -> bool:
     contain a balanced-family member.  Returns False with no further
     search as soon as one avoider shows up.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_nk(n, k)
     # The first balanced word, in sorted order; guarded before fam is built.
     a = list(next(enumerate_balanced(n**6 + 1, k + 1, guard=guard)))
-    fam = [fid for fid, _ in family_mult(n, k)]
-    while end := _member_end(_Host(a), fam):
-        if not _next_arrangement(a, end):
-            return True
-    return False
+    return _first_avoider(a, [fid for fid, _ in family_mult(n, k)]) is None

@@ -136,8 +136,7 @@ def constant_pattern(m: int) -> Word:
 
 def multiplied_monotone_pattern(n: int, mult: int, e: Direction) -> Word:
     """n+1 groups of ``mult`` equal letters, strictly monotone per ``e``."""
-    base = tuple(v for v in range(n + 1) for _ in range(mult))
-    return base if e is Direction.ID else base[::-1]
+    return tuple(v for v in run_pattern(n, e) for _ in range(mult))
 
 
 def run_pattern(n: int, e: Direction) -> Word:
@@ -198,7 +197,7 @@ class _Host:
     either reads them at once.  Checkers never modify the lists.
 
     A caller checking several members passes one host to each check,
-    which ``_prepare`` passes through; a raw tuple gets the host of
+    which ``_prepare`` passes through; any other word gets the host of
     ``_tuple_host``.  Two threads sharing a host may each build the
     levels, and the later pair replaces the earlier; the two are equal,
     and each is set only once complete, so at worst work is repeated.
@@ -217,11 +216,11 @@ class _Host:
         return self._occ[e is Direction.REV]
 
 
-# One slot: consecutive checks of one tuple share its host, and at most
-# one raw word is kept alive.  More slots would keep dropped words alive,
-# and a caller cycling through a few words, as a wpbench round does,
-# would hit across words: checks would then time a cache.  Equal tuples
-# may share a host, since it records positions only.
+# One slot: consecutive checks of one raw word share its host, and at
+# most one raw word is kept alive.  More slots would keep dropped words
+# alive, and a caller cycling through a few words, as a wpbench round
+# does, would hit across words: checks would then time a cache.  Equal
+# words, a list and its tuple say, share a host: it records positions only.
 @lru_cache(maxsize=1)
 def _tuple_host(w: Word) -> _Host:
     return _Host(w)
@@ -230,14 +229,10 @@ def _tuple_host(w: Word) -> _Host:
 def _prepare(w) -> _Host:
     """The host a checker runs on; every checker gets its host here, and
     only its host: a member's parameters were checked when it was made.
-
-    A host passes through.  The host of a raw tuple is kept until the
-    next raw tuple arrives; any other word, a list say, may change
-    between calls and gets a fresh host each time.
-    """
-    if type(w) is _Host:
-        return w
-    return _tuple_host(w) if type(w) is tuple else _Host(w)
+    A host passes through; any other word is read as a tuple, which keeps
+    its host until a different raw word arrives, so a changed list is
+    indexed again."""
+    return w if type(w) is _Host else _tuple_host(tuple(w))
 
 
 def contains_constant(w, m: int) -> Occurrence | None:

@@ -22,7 +22,8 @@ following the constructive argument rather than by searching:
    monotone witness.
 
 The returned WitnessTrace records every intermediate choice, and
-``validate_trace`` replays all of them against the original word.
+``validate_trace`` checks against the original word that each recorded
+step meets the proof's guarantee, without re-deriving the choices.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 
+from .guards import check_nk
 from .monotone import NONDECREASING, es_extract
 from .patterns import Direction, FamilyId, contains_constant, base_pattern
 from .words import (
@@ -93,8 +95,7 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     InvariantViolation, also under ``python -O``.
     """
     w = tuple(w)
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    check_nk(n, k)
     threshold = k * n**6
     occ = occurrences_by_value(w)
     have = len(w) - len(occ)
@@ -224,7 +225,10 @@ def _strictly_monotone(vals, direction: Direction) -> bool:
 
 
 def validate_trace(w, trace: WitnessTrace) -> bool:
-    """Replay every recorded step of ``trace`` against ``w``."""
+    """Check each recorded step of ``trace`` against the proof's guarantee
+    in ``w``, not against the extractor's choices: the occurrence is always
+    checked, but a double-run core that differs outside the block it used
+    validates while it is a strictly monotone subsequence of the firsts."""
     try:
         return _validate(tuple(w), trace)
     except InvalidOccurrence:

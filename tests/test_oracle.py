@@ -339,7 +339,9 @@ def _subsets(members, rng):
             yield set(picked), rng.sample([members[i] for i in picked], r)
 
 
-@pytest.mark.parametrize("n,k,max_values", [(1, 1, 3), (1, 2, 2), (2, 1, 3)])
+# (1, 3, 2) reaches the prune: 0000, with 3 repeats and no member, comes
+# before every count vector with 2 repeats.
+@pytest.mark.parametrize("n,k,max_values", [(1, 1, 3), (1, 2, 2), (2, 1, 3), (1, 3, 2)])
 def test_max_repeats_with_member_subsets_matches_a_plain_scan(monkeypatch, n, k, max_values):
     # Few members leave avoiders with many repeats; the search must find
     # the most repeats and the least avoider that has them.

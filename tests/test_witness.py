@@ -273,6 +273,27 @@ def test_validate_rejects_corrupt_monotone_core():
     assert not validate_trace(w, replace(trace, monotone_direction=flipped))
 
 
+@pytest.mark.parametrize("branch", ["double_run", "doubled_monotone"])
+def test_validate_rejects_a_core_that_is_not_monotone(monkeypatch, branch):
+    # The first n^3 + 1 firsts: the right length, a subsequence of the
+    # firsts and the recorded direction, so only the monotone check is left.
+    w, trace = _first_trace_with_branch(2, 1, branch)
+    core = trace.firsts_occ[:9]
+    vals = [trace.doubled_word[i - 1] for i in core]
+    assert vals != sorted(set(vals)) and vals != sorted(set(vals), reverse=True)
+    verdicts = []
+    monotone = witness._strictly_monotone
+
+    def recording(*args):
+        verdicts.append(monotone(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(witness, "_strictly_monotone", recording)
+    assert not validate_trace(w, replace(trace, monotone_occ=core))
+    # The core's check is the first monotone check, and it rejects.
+    assert verdicts == [False]
+
+
 def test_validate_rejects_corrupt_block_fields():
     w, trace = _first_trace_with_branch(1, 1, "double_run")
     assert not validate_trace(w, replace(trace, block_start=1))
