@@ -55,12 +55,10 @@ from .words import (
     Word,
     contains,
     format_word,
-    is_inversion_sequence,
     is_pattern,
     multiplicities,
     occurrences_by_value,
     parse_word,
-    render_grid,
     repeats,
     reverse,
     standardise,

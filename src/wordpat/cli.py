@@ -27,7 +27,6 @@ from .words import (
     contains,
     format_word,
     parse_word,
-    render_grid,
     repeats,
     standardise,
 )
@@ -179,11 +178,6 @@ def cmd_oracle_balanced_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    print(render_grid(_word(args.word)))
-    return 0
-
-
 def _add_guard(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--guard", type=_nonnegative, default=None, help="size guard override")
 
@@ -265,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--k", type=_positive, required=True)
     _add_guard(op)
     op.set_defaults(func=cmd_oracle_balanced_check)
-
-    sp = sub.add_parser("render", help="draw a word on its grid")
-    sp.add_argument("word")
-    sp.set_defaults(func=cmd_render)
 
     return parser
 

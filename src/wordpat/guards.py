@@ -15,5 +15,5 @@ def check_guard(size: int, guard: int, what: str) -> None:
 
 
 def check_nk(n: int, k: int) -> None:
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 1:
+        raise ValueError(f"need ints n >= 1 and k >= 1, got n={n!r}, k={k!r}")

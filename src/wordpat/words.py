@@ -128,67 +128,24 @@ def _feasible(bound: list[int | None], letter: int, value: int) -> bool:
     return True
 
 
-def is_inversion_sequence(w) -> bool:
-    """True iff every letter is smaller than its 1-based position."""
-    return all(v < i for i, v in enumerate(tuple(w), start=1))
-
-
-def render_grid(w) -> str:
-    """Draw ``w`` as a monospace grid with a point at (position, value).
-
-    Rows run from the maximum value down to 0.  When ``w`` is an
-    inversion sequence, the cells on the diagonal (column i, value i)
-    are dashed to show the staircase bounding the admissible region.
-    """
-    w = tuple(w)
-    if not w:
-        raise ValueError("cannot render the empty word")
-    maxv = max(w)
-    staircase = is_inversion_sequence(w)
-    cell = max(len(str(len(w))), 1)
-    label = len(str(maxv))
-    lines = []
-    for row in range(maxv, -1, -1):
-        cells = []
-        for col in range(1, len(w) + 1):
-            if w[col - 1] == row:
-                mark = "*"
-            elif staircase and row == col:
-                mark = "-"
-            else:
-                mark = "."
-            cells.append(mark.rjust(cell))
-        lines.append(f"{str(row).rjust(label)} |" + " ".join(cells))
-    lines.append(" " * label + " +" + "-" * ((cell + 1) * len(w) - 1))
-    lines.append(
-        " " * label + "  " + " ".join(str(c).rjust(cell) for c in range(1, len(w) + 1))
-    )
-    return "\n".join(lines)
-
-
 def parse_word(text: str) -> Word:
     """Parse the shared word text format.
 
     Either decimal integers separated by spaces or commas ("13 14 15"),
     or a compact digit string ("13043134") where every letter is a
     single digit.  A separator anywhere selects the separated form.
+    Digits are ASCII 0-9 only: no sign, underscore or other script.
     """
     text = text.strip()
     if not text:
         return ()
     if "," in text or any(c.isspace() for c in text):
         parts = [p for chunk in text.split(",") for p in chunk.split()]
-        try:
-            letters = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"not a valid word: {text!r}") from None
-    elif text.isdigit():
-        letters = tuple(int(c) for c in text)
     else:
+        parts = list(text)
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"not a valid word: {text!r}")
-    if any(v < 0 for v in letters):
-        raise ValueError(f"letters must be non-negative: {text!r}")
-    return letters
+    return tuple(int(p) for p in parts)
 
 
 def format_word(w) -> str:

@@ -240,6 +240,8 @@ def test_verify_guard_exceeded(capsys):
 
 def test_usage_errors(capsys, monkeypatch):
     assert run(capsys, "std", "xy")[0] == 2
+    # A digit outside ASCII is malformed input, not a failed int().
+    assert run(capsys, "std", "\u00b2") == (2, "", "error: not a valid word: '\u00b2'\n")
     assert run(capsys, "contains", "0101", "ab")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2
     assert run(capsys)[0] == 2
@@ -331,15 +333,6 @@ def test_python_dash_m(tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
-
-
-def test_render(capsys):
-    code, out, _ = run(capsys, "render", "010")
-    assert code == 0
-    assert out.count("*") == 3
-    code, _, err = run(capsys, "render", "")
-    assert code == 1
-    assert "error:" in err
 
 
 def _write_console_script(bin_dir, name, target):

@@ -11,6 +11,8 @@ from wordpat.construction import (
     verify_q_lemma,
 )
 from wordpat.guards import GuardExceeded
+from wordpat.oracle import check_unavoidability_balanced
+from wordpat.witness import extract_witness
 from wordpat.words import contains, multiplicities, repeats, standardise, subword
 
 
@@ -48,6 +50,24 @@ def test_build_rejects_bad_parameters():
     for n, k in [(0, 1), (1, 0), (-1, 1), (1, -1)]:
         with pytest.raises(ValueError):
             build(n, k)
+
+
+# Every entry point that takes (n, k) checks it by one rule.
+NK_ENTRY_POINTS = {
+    "build": build,
+    "verify": verify,
+    "verify_q_lemma": verify_q_lemma,
+    "max_monotone_of_r": max_monotone_of_r,
+    "extract_witness": lambda n, k: extract_witness((0, 1, 0, 1), n, k),
+    "check_unavoidability_balanced": check_unavoidability_balanced,
+}
+
+
+@pytest.mark.parametrize("name", NK_ENTRY_POINTS)
+def test_nk_must_be_positive_ints(name):
+    for n, k in [(2.0, 1), (1.0, 1), (1, 1.0), ("1", 1), (1, None), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError, match="need ints n >= 1 and k >= 1"):
+            NK_ENTRY_POINTS[name](n, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -14,17 +14,17 @@ EXPORTED = {
     "contains", "contains_any_family", "contains_constant", "contains_double_run",
     "contains_multiplied_monotone", "direct_power", "direct_sum", "double_run_pattern",
     "enumerate_balanced", "enumerate_cayley", "es_extract", "extract_witness", "family",
-    "family_mult", "find_family_member", "format_word", "is_inversion_sequence", "is_pattern",
+    "family_mult", "find_family_member", "format_word", "is_pattern",
     "longest_nondecreasing", "longest_nonincreasing", "max_monotone_of_r",
     "max_repeats_avoiding", "multiplicities", "multiplied_monotone_pattern",
-    "occurrences_by_value", "parse_word", "render_grid", "repeats", "reverse", "run_pattern",
+    "occurrences_by_value", "parse_word", "repeats", "reverse", "run_pattern",
     "skew_power", "skew_sum", "standardise", "subword", "validate_trace", "verify",
     "verify_q_lemma",
 }
 
 
 def test_exported_names():
-    assert len(EXPORTED) == 57
+    assert len(EXPORTED) == 55
     assert len(wordpat.__all__) == len(set(wordpat.__all__))
     assert set(wordpat.__all__) == EXPORTED
     assert all(hasattr(wordpat, name) for name in EXPORTED)

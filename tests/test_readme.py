@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wordpat import cli
 from wordpat.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -39,7 +40,7 @@ def test_library_tour_prints_its_comments():
 CLI_EXAMPLES = [
     (shlex.split(code)[1:], comment.strip())
     for code, sep, comment in (line.partition("  # ") for line in _block("Command line", "sh").splitlines())
-    if sep and code.split()[1] in ("std", "repeats", "contains", "algebra", "construct")
+    if sep and code.split()[1] in ("std", "repeats", "contains", "algebra", "construct", "oracle")
 ]
 
 
@@ -50,4 +51,14 @@ def test_command_line_examples_print_their_comments(capsys, argv, expected):
 
 
 def test_every_listed_command_line_example_is_checked():
-    assert [argv[0] for argv, _ in CLI_EXAMPLES] == ["std", "repeats", "contains", "algebra", "construct"]
+    assert [argv[0] for argv, _ in CLI_EXAMPLES] == ["std", "repeats", "contains", "algebra", "construct", "oracle"]
+
+
+def test_command_line_block_and_parser_list_the_same_commands():
+    parser = cli.build_parser()
+    handlers = {
+        parser.parse_args(shlex.split(line, comments=True)[1:]).func
+        for line in _block("Command line", "sh").splitlines()
+    }
+    commands = {value for name, value in vars(cli).items() if name.startswith("cmd_")}
+    assert handlers == commands

@@ -1,4 +1,4 @@
-"""Word core: standardisation, containment, rendering, text format."""
+"""Word core: standardisation, containment, text format."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,12 +8,10 @@ from wordpat.words import (
     InvalidOccurrence,
     contains,
     format_word,
-    is_inversion_sequence,
     is_pattern,
     multiplicities,
     occurrences_by_value,
     parse_word,
-    render_grid,
     repeats,
     reverse,
     standardise,
@@ -157,44 +155,6 @@ def test_occurrences_by_value_lists_values_in_first_occurrence_order(w):
     assert list(occurrences_by_value(w)) == list(dict.fromkeys(w))
 
 
-def test_is_inversion_sequence():
-    assert is_inversion_sequence((0, 0, 2, 1, 3, 5))
-    assert is_inversion_sequence(())
-    assert not is_inversion_sequence((1,))
-    assert not is_inversion_sequence((0, 2, 1))
-
-
-def test_render_grid_marks_points():
-    out = render_grid((1, 3, 0, 4, 3, 1, 3, 4))
-    lines = out.splitlines()
-    # Rows run from value 4 down to value 0, then axis footer.
-    marks = {}
-    for line in lines[:5]:
-        row = int(line.split("|")[0])
-        cells = line.split("|", 1)[1].split()
-        marks[row] = [i + 1 for i, c in enumerate(cells) if c == "*"]
-    assert marks == {4: [4, 8], 3: [2, 5, 7], 2: [], 1: [1, 6], 0: [3]}
-    assert "-" not in out.split("+")[0]  # not an inversion sequence
-
-
-def test_render_grid_staircase():
-    out = render_grid((0, 0, 2, 1, 3, 5))
-    lines = out.splitlines()
-    dashes = set()
-    for line in lines[:6]:
-        row = int(line.split("|")[0])
-        cells = line.split("|", 1)[1].split()
-        for i, c in enumerate(cells):
-            if c == "-":
-                dashes.add((row, i + 1))
-    assert dashes == {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)}
-
-
-def test_render_grid_rejects_empty():
-    with pytest.raises(ValueError):
-        render_grid(())
-
-
 def test_parse_word_forms():
     assert parse_word("13043134") == (1, 3, 0, 4, 3, 1, 3, 4)
     assert parse_word("13 14 15") == (13, 14, 15)
@@ -206,14 +166,11 @@ def test_parse_word_forms():
 
 
 def test_parse_word_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_word("ab")
-    with pytest.raises(ValueError):
-        parse_word("1a")
-    with pytest.raises(ValueError):
-        parse_word("-1 2")
-    with pytest.raises(ValueError):
-        parse_word("1.5 2")
+    # Only ASCII decimal digits make a letter, in either form: no sign,
+    # no underscore, no other script's digits and no superscript.
+    for text in ["ab", "1a", "-1 2", "-12", "1.5 2", "1_0 2", "+1 2", "\u0663\u0664", "\u0663 4", "\u00b2", "1\u00b2"]:
+        with pytest.raises(ValueError, match="not a valid word"):
+            parse_word(text)
 
 
 def test_format_word():
