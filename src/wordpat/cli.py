@@ -2,27 +2,25 @@
 
 Exit codes: 0 on success, 1 for domain outcomes (pattern not found,
 guard exceeded, verification or extraction failure), 2 for malformed
-input or bad usage.  The REPEATS_GUARD environment variable overrides
-default guards wherever a --guard flag is accepted.
+input or bad usage.  A --guard flag on each guarded command is the only
+way to lift its library default; nothing here reads the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import concat, direct_power, direct_sum, skew_power, skew_sum
 from .construction import build, verify
-from .guards import GuardExceeded
 from .oracle import (
     check_unavoidability_balanced,
     enumerate_balanced,
     enumerate_cayley,
     max_repeats_avoiding,
 )
-from .witness import InsufficientRepeats, extract_witness
+from .witness import extract_witness
 from .words import (
     contains,
     format_word,
@@ -47,10 +45,8 @@ def _int_from(low: int, kind: str):
     """argparse type for an integer option that must be >= ``low``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
+        # The digit rule of parse_word: no sign, "_", or non-ASCII digit.
+        value = int(text) if text.isascii() and text.isdigit() else low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
         return value
@@ -62,23 +58,10 @@ _positive = _int_from(1, "positive")
 _nonnegative = _int_from(0, "non-negative")
 
 
-def _parsed(parse, what: str, text: str) -> int:
-    """Parse a value that argparse does not see with one of its types."""
-    try:
-        return parse(text)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{what} {exc}") from None
-
-
 def _guard(args: argparse.Namespace) -> dict:
-    """``guard=`` for a library call when --guard or REPEATS_GUARD sets
-    one; otherwise nothing, so the library's own default applies."""
-    if getattr(args, "guard", None) is not None:
-        return {"guard": args.guard}
-    env = os.environ.get("REPEATS_GUARD")
-    if env is not None:
-        return {"guard": _parsed(_nonnegative, "REPEATS_GUARD", env)}
-    return {}
+    """``guard=`` for a library call when --guard sets one; otherwise
+    nothing, so the library's own default applies."""
+    return {} if args.guard is None else {"guard": args.guard}
 
 
 def _occ_str(occ) -> str:
@@ -109,7 +92,10 @@ def cmd_contains(args: argparse.Namespace) -> int:
 def cmd_algebra(args: argparse.Namespace) -> int:
     left = _word(args.left)
     if args.op in ("dpow", "spow"):
-        m = _parsed(_positive, "power", args.right)
+        try:
+            m = _positive(args.right)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"power {exc}") from None
         out = direct_power(left, m) if args.op == "dpow" else skew_power(left, m)
     else:
         right = _word(args.right)
@@ -274,11 +260,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GuardExceeded as exc:
-        override = "pass a larger --guard or set REPEATS_GUARD to override"
-        print(f"error: {exc.args[0]}; {override}", file=sys.stderr)
-        return 1
-    except (InsufficientRepeats, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

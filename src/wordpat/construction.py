@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import concat, direct_power, skew_power
 from .guards import check_guard, check_nk
 from .monotone import longest_nondecreasing, longest_nonincreasing
-from .patterns import FamilyId, _Host, contains_constant, family_mult, find_family_member
+from .patterns import _Host, contains_constant, family_mult, find_family_member
 from .words import Word, multiplicities, repeats
 
 
@@ -60,9 +60,7 @@ def _build_q(n: int, k: int) -> tuple[Word, Word, Word, Word, Word]:
 
 
 def _build_r(n: int, k: int) -> tuple[Word, Word]:
-    """t and r of ``build(n, k)``; every part is built from them, so n and
-    k are checked here."""
-    check_nk(n, k)
+    """t and r of ``build(n, k)``, for an (n, k) its caller has checked."""
     t = tuple(v for v in range(1, n + 1) for _ in range(k))
     return t, skew_power(t, n)
 
@@ -102,11 +100,10 @@ def verify(n: int, k: int, guard: int = 100_000) -> VerifyReport:
 
     The set is the constant of length k+2 together with the balanced
     family: multiplied staircases with group size k+1 and the four
-    double runs over n+1 values.  Guarded by the length (k+1) n^6.
+    double runs over n+1 values.  ``build`` checks (n, k) and the guard
+    on the length (k+1) n^6.
     """
-    check_nk(n, k)
-    check_guard((k + 1) * n**6, guard, f"verification word for n={n}, k={k}")
-    return _report(n, k, lambda: build(n, k, guard).s, family_mult(n, k))
+    return _report(n, k, lambda: build(n, k, guard).s, lambda: family_mult(n, k))
 
 
 def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
@@ -120,18 +117,21 @@ def verify_q_lemma(n: int, k: int, guard: int = 100_000) -> VerifyReport:
     check_nk(n, k)
     check_guard((k + 1) * n**4, guard, f"intermediate word for n={n}, k={k}")
     # n >= 1 collapses no member: two staircases, then four double runs.
-    return _report(n, k, lambda: _build_q(n, k)[-1], family_mult(1, k)[:2] + family_mult(n, k)[2:])
+    return _report(
+        n, k, lambda: _build_q(n, k)[-1], lambda: family_mult(1, k)[:2] + family_mult(n, k)[2:]
+    )
 
 
-def _report(n: int, k: int, make, members: list[tuple[FamilyId, Word]]) -> VerifyReport:
+def _report(n: int, k: int, make, members) -> VerifyReport:
     """Check the word ``make()`` builds for multiplicity k+1 and against
-    the constant of length k+2 and ``members``, indexing the word once
-    for all of them; building it is timed too."""
+    the constant of length k+2 and the list ``members()``, indexing the
+    word once for all of them; building it is timed too.  ``make`` runs
+    first, so a builder that checks (n, k) does so before ``members``."""
     start = time.perf_counter()
     w = make()
     host = _Host(w)
     avoided = {"Constant": contains_constant(host, k + 2) is None}
-    for fid, _ in members:
+    for fid, _ in members():
         avoided[str(fid)] = find_family_member(host, fid) is None
     mult_ok = all(c == k + 1 for c in multiplicities(w).values())
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -158,8 +158,11 @@ class MonotoneReport:
         return max(self.nondecreasing, self.nonincreasing)
 
 
-def max_monotone_of_r(n: int, k: int) -> MonotoneReport:
-    """Longest monotone subword lengths of the skew-stacked block word r."""
+def max_monotone_of_r(n: int, k: int, guard: int = 100_000) -> MonotoneReport:
+    """Longest monotone subword lengths of the skew-stacked block word r,
+    guarded by its length n^2 k."""
+    check_nk(n, k)
+    check_guard(n * n * k, guard, f"block word r for n={n}, k={k}")
     _, r = _build_r(n, k)
     return MonotoneReport(
         nondecreasing=len(longest_nondecreasing(r)),

@@ -1,17 +1,20 @@
-"""Shared argument checks: size guards for desk-scale runs, and the (n, k) range."""
+"""Shared argument checks: size guards for desk-scale runs, and the (n, k) range.
+
+Every guarded entry point takes a ``guard`` argument, and the command
+line's ``--guard`` passes it on; nothing else lifts a guard.
+``check_guard`` words the one message for both.
+"""
 
 
 class GuardExceeded(ValueError):
-    """Requested instance is larger than the configured guard allows;
-    ``args[0]`` says by how much, without the advice on overriding it."""
-
-    def __str__(self) -> str:
-        return f"{self.args[0]}; pass a larger guard argument to override"
+    """Requested instance is larger than the guard allows."""
 
 
 def check_guard(size: int, guard: int, what: str) -> None:
     if size > guard:
-        raise GuardExceeded(f"{what} has size {size}, above the guard {guard}")
+        raise GuardExceeded(
+            f"{what} has size {size}, above the guard {guard}; pass a larger guard to override"
+        )
 
 
 def check_nk(n: int, k: int) -> None:

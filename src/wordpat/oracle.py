@@ -8,8 +8,10 @@ position of its last letter before its final run of equal letters (its
 first if it is one run): every later arrangement with the same first L
 letters has as many copies of the run's value after L, so holds the
 same occurrence, and the searches step past them all.  All entry points
-take a guard; sizes above it raise GuardExceeded instead of starting a
-run that will not finish.
+take a guard and check it with ``guards.check_guard``, so sizes above it
+raise GuardExceeded, with the one guard message, instead of starting a
+run that will not finish; ``max_repeats_avoiding`` stops counting its
+space once past the guard.
 
 The searches ask each word about the members in the family's own
 order and stop at the first one it holds.  ``max_repeats_avoiding``
@@ -21,11 +23,11 @@ avoider, so no answer depends on the order.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import factorial
 from typing import Iterator
 
-from .guards import GuardExceeded, check_guard, check_nk
+from .guards import check_guard, check_nk
 from .patterns import FamilyId, _Host, family, family_mult, find_family_member
 from .words import Word
 
@@ -164,17 +166,17 @@ def max_repeats_avoiding(
         raise ValueError(f"need k >= 1 and max_values >= 0, got k={k}, max_values={max_values}")
     vectors: list[tuple[int, ...]] = []
     space = 0
-    for d in range(1, max_values + 1):
-        for counts in product(range(2, k + 2), repeat=d):
-            size = factorial(sum(counts))
-            for c in counts:
-                size //= factorial(c)
-            space += size
-            if space > guard:
-                raise GuardExceeded(
-                    f"avoidance search space has size at least {space}, above the guard {guard}"
-                )
-            vectors.append(counts)
+    all_counts = (product(range(2, k + 2), repeat=d) for d in range(1, max_values + 1))
+    for counts in chain.from_iterable(all_counts):
+        size = factorial(sum(counts))
+        for c in counts:
+            size //= factorial(c)
+        space += size
+        if space > guard:
+            break
+        vectors.append(counts)
+    what = "first part of the avoidance search space (the whole is at least as large)"
+    check_guard(space, guard, what)
     # No word here has k+2 copies of a value, so the constant never occurs.
     fam = [fid for fid, _ in family(n, k) if fid.kind != "constant"]
     best_r = 0

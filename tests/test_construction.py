@@ -11,7 +11,12 @@ from wordpat.construction import (
     verify_q_lemma,
 )
 from wordpat.guards import GuardExceeded
-from wordpat.oracle import check_unavoidability_balanced
+from wordpat.oracle import (
+    check_unavoidability_balanced,
+    enumerate_balanced,
+    enumerate_cayley,
+    max_repeats_avoiding,
+)
 from wordpat.witness import extract_witness
 from wordpat.words import contains, multiplicities, repeats, standardise, subword
 
@@ -68,6 +73,32 @@ def test_nk_must_be_positive_ints(name):
     for n, k in [(2.0, 1), (1.0, 1), (1, 1.0), ("1", 1), (1, None), (0, 1), (1, 0)]:
         with pytest.raises(ValueError, match="need ints n >= 1 and k >= 1"):
             NK_ENTRY_POINTS[name](n, k)
+
+
+# Every guarded entry point: a call with a given guard, and the size
+# that guard is checked against.
+GUARDED_ENTRY_POINTS = {
+    "build": (lambda guard: build(2, 1, guard=guard), 2 * 2**6),
+    "verify": (lambda guard: verify(2, 1, guard=guard), 2 * 2**6),
+    "verify_q_lemma": (lambda guard: verify_q_lemma(2, 1, guard=guard), 2 * 2**4),
+    "max_monotone_of_r": (lambda guard: max_monotone_of_r(3, 2, guard=guard), 3**2 * 2),
+    "enumerate_cayley": (lambda guard: list(enumerate_cayley(5, guard=guard)), 5),
+    "enumerate_balanced": (lambda guard: list(enumerate_balanced(3, 2, guard=guard)), 3 * 2),
+    # 1 + 6 + 90 arrangements of one, two and three values twice each.
+    "max_repeats_avoiding": (lambda guard: max_repeats_avoiding(1, 1, 3, guard=guard), 97),
+    "check_unavoidability_balanced": (lambda guard: check_unavoidability_balanced(1, 1, guard=guard), 2 * 2),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED_ENTRY_POINTS)
+def test_guard_rule(name):
+    call, size = GUARDED_ENTRY_POINTS[name]
+    with pytest.raises(GuardExceeded) as exc:
+        call(size - 1)
+    tail = f" has size {size}, above the guard {size - 1}; pass a larger guard to override"
+    assert str(exc.value).endswith(tail)
+    assert str(exc.value).count("pass a larger guard") == 1
+    call(size)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -237,15 +268,12 @@ def test_max_monotone_of_r(n, k):
     assert report.nonincreasing == longest_nonincreasing_len(r)
 
 
-def test_verify_guard(monkeypatch):
-    # The environment override is the CLI's; the library names only its
-    # guard argument.
-    monkeypatch.setenv("REPEATS_GUARD", "10000000")
+def test_verify_guard():
     with pytest.raises(GuardExceeded) as exc:
         verify(7, 1)  # length 235298 over the default guard
     assert str(exc.value) == (
-        "verification word for n=7, k=1 has size 235298, above the guard 100000; "
-        "pass a larger guard argument to override"
+        "construction word for n=7, k=1 has size 235298, above the guard 100000; "
+        "pass a larger guard to override"
     )
     with pytest.raises(GuardExceeded):
         verify(2, 1, guard=10)
@@ -260,7 +288,10 @@ def test_verify_guard(monkeypatch):
 def test_build_guard(monkeypatch):
     with pytest.raises(GuardExceeded) as exc:
         build(7, 1)  # s has 235298 letters, over the default guard
-    assert exc.value.args[0] == "construction word for n=7, k=1 has size 235298, above the guard 100000"
+    assert str(exc.value) == (
+        "construction word for n=7, k=1 has size 235298, above the guard 100000; "
+        "pass a larger guard to override"
+    )
     with pytest.raises(GuardExceeded):
         build(2, 1, guard=127)
     assert len(build(2, 1, guard=128).s) == 128

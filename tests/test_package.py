@@ -30,13 +30,28 @@ def test_exported_names():
     assert all(hasattr(wordpat, name) for name in EXPORTED)
 
 
+def _library_nodes():
+    """(file name, node) for every syntax node of every library module."""
+    for path in sorted(Path(wordpat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_library_raises_instead_of_asserting():
     # python -O strips assert statements, and the invariants must hold
     # there too.
-    asserts = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(wordpat.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    asserts = [f"{name}:{node.lineno}" for name, node in _library_nodes() if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_library_reads_no_environment_variable():
+    # A guard is lifted only by its guard argument (--guard on the
+    # command line), so no setting can hide in the environment.
+    env = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, node in _library_nodes()
+        if isinstance(node, ast.Attribute) and node.attr in env
+        or isinstance(node, ast.ImportFrom) and node.module == "os" and env & {a.name for a in node.names}
+    ]
+    assert reads == []
