@@ -1,4 +1,4 @@
-"""Shared argument checks: size guards for desk-scale runs, and the (n, k) range.
+"""Shared argument checks: size guards for desk-scale runs, and integer ranges.
 
 Every guarded entry point takes a ``guard`` argument, and the command
 line's ``--guard`` passes it on; nothing else lifts a guard.
@@ -17,6 +17,16 @@ def check_guard(size: int, guard: int, what: str) -> None:
         )
 
 
+def check_ints(**bounds: tuple[int, int]) -> None:
+    """Each keyword names an argument as (its value, its least allowed
+    value); unless every value is an int at least that, one ValueError
+    names them all."""
+    if not all(isinstance(value, int) and value >= low for value, low in bounds.values()):
+        *rest, last = [f"{name} >= {low}" for name, (_, low) in bounds.items()]
+        need = f"ints {', '.join(rest)} and {last}" if rest else f"an int {last}"
+        got = ", ".join(f"{name}={value!r}" for name, (value, _) in bounds.items())
+        raise ValueError(f"need {need}, got {got}")
+
+
 def check_nk(n: int, k: int) -> None:
-    if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 1:
-        raise ValueError(f"need ints n >= 1 and k >= 1, got n={n!r}, k={k!r}")
+    check_ints(n=(n, 1), k=(k, 1))

@@ -27,7 +27,7 @@ from itertools import chain, product
 from math import factorial
 from typing import Iterator
 
-from .guards import check_guard, check_nk
+from .guards import check_guard, check_ints, check_nk
 from .patterns import FamilyId, _Host, family, family_mult, find_family_member
 from .words import Word
 
@@ -37,8 +37,7 @@ def enumerate_cayley(length: int, guard: int = 10) -> Iterator[Word]:
 
     Counts follow the ordered-Bell sequence 1, 1, 3, 13, 75, ...
     """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    check_ints(length=(length, 0))
     check_guard(length, guard, "exhaustive word enumeration")
     return _cayley_words(length)
 
@@ -120,8 +119,7 @@ def _next_arrangement(a: list[int], keep: int) -> bool:
 
 def enumerate_balanced(values: int, mult: int, guard: int = 16) -> Iterator[Word]:
     """All words using each of 1..values exactly ``mult`` times, lexicographic."""
-    if values < 0 or mult < 1:
-        raise ValueError(f"need values >= 0 and mult >= 1, got {values}, {mult}")
+    check_ints(values=(values, 0), mult=(mult, 1))
     check_guard(values * mult, guard, "balanced word enumeration")
     return _arrangements([v for v in range(1, values + 1) for _ in range(mult)])
 
@@ -162,8 +160,7 @@ def max_repeats_avoiding(
     repeat count and the lexicographically least standardised witness,
     or (0, None) when the search space is empty.
     """
-    if k < 1 or max_values < 0:
-        raise ValueError(f"need k >= 1 and max_values >= 0, got k={k}, max_values={max_values}")
+    check_ints(n=(n, 0), k=(k, 1), max_values=(max_values, 0))
     vectors: list[tuple[int, ...]] = []
     space = 0
     all_counts = (product(range(2, k + 2), repeat=d) for d in range(1, max_values + 1))

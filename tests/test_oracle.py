@@ -49,9 +49,36 @@ def test_cayley_guard_and_validation():
         enumerate_cayley(11)
     with pytest.raises(GuardExceeded):
         enumerate_cayley(5, guard=4)
-    with pytest.raises(ValueError):
-        enumerate_cayley(-1)
     assert list(enumerate_cayley(0)) == [()]
+
+
+# Each sized entry point, the message that names its sizes, and sizes it
+# refuses: not ints, or below their range.  The message names only the
+# caller's own arguments.
+ORACLE_SIZES = {
+    "enumerate_cayley": (
+        enumerate_cayley, "need an int length >= 0", [(2.0,), ("2",), (None,), (-1,)]
+    ),
+    "enumerate_balanced": (
+        enumerate_balanced,
+        "need ints values >= 0 and mult >= 1",
+        [(2.0, 1), (2, 1.0), ("2", 1), (-1, 2), (2, 0)],
+    ),
+    "max_repeats_avoiding": (
+        max_repeats_avoiding,
+        "need ints n >= 0, k >= 1 and max_values >= 0",
+        [(1, 1.0, 2), (1, 1, 2.0), (1.0, 1, 2), (None, 1, 2), (-1, 1, 2), (1, 0, 2), (1, 1, -1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SIZES)
+def test_oracle_sizes_must_be_ints_in_range(name):
+    entry, message, bad = ORACLE_SIZES[name]
+    for args in bad:
+        with pytest.raises(ValueError, match=f"^{message}, got ") as raised:
+            entry(*args)
+        assert all(repr(arg) in str(raised.value) for arg in args), args
 
 
 def test_cayley_enumerates_words_longer_than_the_recursion_limit():
@@ -81,10 +108,6 @@ def test_balanced_counts_are_multinomial(values, mult):
 def test_balanced_guard_and_validation():
     with pytest.raises(GuardExceeded):
         enumerate_balanced(5, 4)
-    with pytest.raises(ValueError):
-        enumerate_balanced(-1, 2)
-    with pytest.raises(ValueError):
-        enumerate_balanced(2, 0)
 
 
 def test_balanced_is_lexicographic():
@@ -155,10 +178,6 @@ def test_max_repeats_deterministic_and_guarded():
     assert max_repeats_avoiding(1, 1, 3) == max_repeats_avoiding(1, 1, 3)
     with pytest.raises(GuardExceeded):
         max_repeats_avoiding(1, 1, 9, guard=100)
-    with pytest.raises(ValueError):
-        max_repeats_avoiding(1, 0, 2)
-    with pytest.raises(ValueError):
-        max_repeats_avoiding(1, 1, -1)
 
 
 def test_max_repeats_guard_stops_before_walking_every_count_vector(monkeypatch):

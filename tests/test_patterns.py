@@ -1,12 +1,13 @@
 """Unavoidable-pattern families and the specialized containment checkers."""
 
 import gc
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import (
     brute_contains,
@@ -23,6 +24,7 @@ from wordpat.patterns import (
     Direction,
     _Host,
     _pareto_insert,
+    _pareto_merge,
     _rank_word,
     FamilyId,
     constant_pattern,
@@ -449,6 +451,34 @@ def test_double_run_checkers_match_all_pairs_reference(w, n, present):
                     assert standardise(subword(w, found)) == pattern
 
 
+# (label, word, n): DOUBLE_RUN_HOSTS, which hold build(2,5).s, and words
+# of the containment-adversarial shapes, where a value's seeds and the
+# fronts they enter are long.
+OCCURRENCE_WORDS = [
+    *(h[:3] for h in DOUBLE_RUN_HOSTS),
+    ("sorted 2x138", _sorted_word(138), 1),
+    *(
+        (f"uniform 20x{copies} n={n} seed={seed}", _balanced_uniform_word(seed, 20, copies), n)
+        for copies in (96, 70, 56, 46)
+        for n in (1, 2, 3, 4)
+        for seed in (1, 2, 3)
+    ),
+    ("build(3,2).s", build(3, 2).s, 3),
+]
+OCCURRENCE_DIGEST = "cc61ae2c5530a3f955a39d0fe1bc5b0bc0248f543a2c4b9689d5e8ccc03464e6"
+
+
+def test_double_run_occurrences_match_the_pinned_digest():
+    # Which occurrence each checker returns, not only whether it finds
+    # one: a change to how the fronts are kept must keep every answer.
+    digest = hashlib.sha256()
+    for label, w, n in OCCURRENCE_WORDS:
+        for e1 in DIRS:
+            for e2 in DIRS:
+                digest.update(f"{label} {e1},{e2}: {contains_double_run(w, n, e1, e2)}\n".encode())
+    assert digest.hexdigest() == OCCURRENCE_DIGEST
+
+
 @pytest.mark.parametrize(
     "w, n", [h[1:3] for h in DOUBLE_RUN_HOSTS[::3]], ids=[h[0] for h in DOUBLE_RUN_HOSTS[::3]]
 )
@@ -867,21 +897,23 @@ def test_staircase_checker_matches_all_groups_reference(w, n, mult):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("e2", DIRS)
-def test_nested_seeds_of_one_value_append_to_the_front(monkeypatch, n, e2):
-    # Seeding in rising position would put each seed at the head of the
-    # front and shift all the others: quadratic in the value's multiplicity.
-    inserts = 0
-    insert = patterns._pareto_insert
+def test_nested_seeds_of_one_value_enter_the_front_in_one_merge(monkeypatch, n, e2):
+    # One insert per seed would shift the front on every seed; one value
+    # 300 times seeds its 299 states in one merge and inserts none alone.
+    merged = []
+    merge = patterns._pareto_merge
 
-    def checking_insert(front, state):
-        nonlocal inserts
-        inserts += 1
-        insert(front, state)
-        assert front[2][-1] is state, (len(front[2]), state)
+    def counting_merge(front, states):
+        merged.append(len(states))
+        merge(front, states)
 
-    monkeypatch.setattr(patterns, "_pareto_insert", checking_insert)
+    def no_insert(front, state):
+        raise AssertionError(f"{state} inserted on its own")
+
+    monkeypatch.setattr(patterns, "_pareto_merge", counting_merge)
+    monkeypatch.setattr(patterns, "_pareto_insert", no_insert)
     assert contains_double_run((7,) * 300, n, e2.flip(), e2) is None
-    assert inserts == 299
+    assert merged == [299]
 
 
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))
@@ -895,6 +927,34 @@ def test_pareto_front_keeps_exactly_the_minimal_states(points):
     A, B, S = front
     assert list(zip(A, B)) == sorted(minimal)
     assert [state[:2] for state in S] == list(zip(A, B))
+
+
+# Keys from a narrow range, so the batch often ties the front's first
+# keys and repeats whole states; batches run well past the cut-off.
+_merge_keys = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+
+
+@given(
+    st.lists(_merge_keys, max_size=40),
+    st.lists(
+        _merge_keys, min_size=1, max_size=6 * patterns._MERGE_SEEDS_FROM, unique_by=lambda t: t[0]
+    ).map(sorted),
+)
+@example(points=[], batch=[(0, 3), (1, 2), (2, 5), (3, 1)])
+@example(points=[(0, 3), (2, 1)], batch=[(0, 3), (1, 2), (2, 1), (3, 0)])
+def test_pareto_merge_leaves_the_front_as_inserting_each_state(points, batch):
+    # The same state objects in the same order: an exact tie keeps the
+    # state that came first.
+    front = ([], [], [])
+    for a, b in points:
+        _pareto_insert(front, (a, b, None))
+    merged = tuple(list(keys) for keys in front)
+    states = [(a, b, None) for a, b in batch]
+    for state in states:
+        _pareto_insert(front, state)
+    _pareto_merge(merged, states)
+    assert merged[:2] == front[:2]
+    assert [id(state) for state in merged[2]] == [id(state) for state in front[2]]
 
 
 def _assert_fronts_nest(fronts):
@@ -938,7 +998,7 @@ def test_each_longer_state_is_dominated_by_a_shorter_one(w, n):
 
 def _count_indexing(monkeypatch):
     # Starts with no raw word kept, so no earlier test's word is reused.
-    patterns._tuple_host.cache_clear()
+    monkeypatch.setattr(patterns, "_raw_slot", (None, None))
     counts = Counter()
     index = patterns.occurrences_by_value
 
@@ -998,6 +1058,14 @@ def test_a_different_tuple_in_between_indexes_again(monkeypatch):
         find_family_member(w, fid)
         # An equal tuple shares the host: it has the same positions.
         assert counts["index"] == indexed, w
+
+
+def test_the_empty_word_is_indexed_like_any_other(monkeypatch):
+    # The empty tuple is a singleton, so the empty slot must not hold it.
+    counts = _count_indexing(monkeypatch)
+    assert contains_constant((), 1) is None
+    assert contains_constant([], 1) is None
+    assert counts["index"] == 1
 
 
 def test_a_changed_list_is_indexed_again(monkeypatch):
