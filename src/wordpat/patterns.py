@@ -330,19 +330,16 @@ def _pareto_insert(front: tuple[list[int], list[int], list], state: tuple) -> No
     S[i:k] = (state,)
 
 
-# Above every second key: least while no state stands before pos.
-_NO_KEY = float("inf")
-
-
 def _pareto_merge(front: tuple[list[int], list[int], list], states: list) -> None:
     # As _pareto_insert of each of ``states`` in turn, their first keys
     # strictly rising: each lands after the one before, so the front from
     # the first one's place on is copied once, in slices, and written back
     # in one assignment per list.  least: the second key of the state
-    # before the one at pos in the merged front.
+    # before the one at pos in the merged front, above every key while
+    # there is none.
     A, B, S = front
     start = pos = bisect_left(A, states[0][0])
-    least = B[start - 1] if start else _NO_KEY
+    least = B[start - 1] if start else float("inf")
     newA, newB, newS = [], [], []
     end = len(B)
     for state in states:
