@@ -8,8 +8,6 @@ back to 0-based patterns when needed.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .words import Word
 
 
@@ -42,14 +40,20 @@ def skew_sum(pi, sigma) -> Word:
 
 
 def direct_power(pi, m: int) -> Word:
-    """Left fold of ``direct_sum`` over ``m`` copies of ``pi`` (m >= 1)."""
+    """``direct_sum`` of ``m`` copies of ``pi`` (m >= 1): copy i shifted up
+    by i * max(pi)."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
-    return reduce(direct_sum, [_check_positive(pi, "power's")] * m)
+    pi = _check_positive(pi, "power's")
+    h = max(pi)
+    return tuple(v + i * h for i in range(m) for v in pi)
 
 
 def skew_power(pi, m: int) -> Word:
-    """Left fold of ``skew_sum`` over ``m`` copies of ``pi`` (m >= 1)."""
+    """``skew_sum`` of ``m`` copies of ``pi`` (m >= 1): copy i shifted up
+    by (m - 1 - i) * max(pi)."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
-    return reduce(skew_sum, [_check_positive(pi, "power's")] * m)
+    pi = _check_positive(pi, "power's")
+    h = max(pi)
+    return tuple(v + (m - 1 - i) * h for i in range(m) for v in pi)

@@ -13,11 +13,12 @@ its rank.  Reversing a run is the same search on the value complement,
 whose ranks are those reversed, so two shapes remain:
 
 * nested (rev,id): p_n < ... < p_0 < q_0 < ... < q_n, intervals nested
-  outward as the value grows.  The innermost interval may be taken
-  between two adjacent occurrences of v_0, since any interval of v_0
-  contains such a pair.  Extending an outermost interval (P, Q) by v
-  needs only the largest p < P and smallest q > Q: a wider choice is a
-  worse start for every later value.
+  outward as the value grows.  The search runs from the top rank down,
+  growing chains inward, so each value enters as one seed: its widest
+  pair, which holds every other pair of it.  Extending an innermost
+  interval (P, Q) by v at p > P needs only v's largest q < Q.  A found
+  chain is drawn tight: v_0 keeps p_0 and takes its next position as
+  q_0, and each outer value its nearest positions outside.
 * ascending (id,id): p_0 < ... < p_n < q_0 < ... < q_n.  The lowest
   value's pair (p_0, q_0) is a pivot that caps every later first-run
   position below q_0.  p_0 may be v_0's first occurrence, since an
@@ -56,7 +57,7 @@ pivot value exceeds level n, so once the levels stand no window is
 scanned.
 
 Both shapes keep, per chain length, the Pareto-minimal states in two
-keys that grow along a chain, (p, q) or (-p, q): a state no smaller than
+keys that grow along a chain, (p, q) or (p, -q): a state no smaller than
 another in either key finishes only chains the other finishes too.  Such
 a front is an antichain, kept as three parallel lists: the first keys
 rising, the second keys falling and the states.  So each dominance test
@@ -68,9 +69,6 @@ state of the next front is dominated by one of this front, since
 dropping a chain's last value leaves a state no worse, so a key that
 extends nothing here extends nothing longer.  All of a value's queries
 run before any of its states is inserted, so no chain uses it twice.
-In the nested search a value's seeds, its adjacent pairs of occurrences,
-enter the shortest front in one merge that copies the front once, and a
-short batch of them is inserted one by one.
 """
 
 from __future__ import annotations
@@ -101,14 +99,15 @@ class Direction(enum.Enum):
 @dataclass(frozen=True)
 class FamilyId:
     """Identifies one member of an unavoidable-pattern family, and so its
-    pattern: ``mult`` is the staircase group size, 2 in the base family
-    and k+1 on the balanced family's staircases; other kinds ignore it.
+    pattern: ``mult`` is the staircase group size, k+1 on the balanced
+    family's staircases and 2 on every other member.
 
     A member is checked once, when it is made (``dataclasses.replace``
     included): an unknown kind, an n, k or mult that is not an int,
-    n < 0, k < 1, mult < 1 or an orientation its kind reads that is not
-    a ``Direction`` raises ValueError.  So every checker trusts the
-    member it is handed.
+    n < 0, k < 1, mult < 1, an orientation its kind reads that is not
+    a ``Direction``, or a field its kind does not read that is not its
+    default raises ValueError.  So every checker trusts the member it is
+    handed.
     """
 
     kind: str  # "constant" | "doubled_monotone" | "double_run"
@@ -123,10 +122,14 @@ class FamilyId:
         if kind is None:
             raise ValueError(f"unknown family member kind: {self.kind}")
         check_ints(n=(self.n, 0), k=(self.k, 1), mult=(self.mult, 1))
-        # Checkers test only ``is Direction.REV``: anything else would read as ID.
-        for e in kind.directions(self):
-            if type(e) is not Direction:
-                raise ValueError(f"orientation must be a Direction, got {e!r}")
+        for name, default in (("e1", None), ("e2", None), ("mult", 2)):
+            value = getattr(self, name)
+            if name not in kind.reads:
+                if value != default:
+                    raise ValueError(f"{self.kind} reads no {name}: need {default!r}, got {value!r}")
+            # Checkers test only ``is Direction.REV``: anything else would read as ID.
+            elif default is None and type(value) is not Direction:
+                raise ValueError(f"orientation must be a Direction, got {value!r}")
 
     def __str__(self) -> str:
         return _KINDS[self.kind].name(self)
@@ -296,7 +299,9 @@ def _multiplied_monotone(host: _Host, n: int, mult: int, e: Direction) -> Occurr
 
 def contains_double_run(w, n: int, e1: Direction, e2: Direction) -> Occurrence | None:
     """Occurrence of two position-separated monotone runs over the same
-    n+1 values, the first oriented per ``e1`` and the second per ``e2``."""
+    n+1 values, the first oriented per ``e1`` and the second per ``e2``.
+    A nested shape's chain comes back drawn tight around its innermost
+    pair; which occurrence comes back may change between versions."""
     return find_family_member(w, FamilyId("double_run", n, 1, e1, e2))
 
 
@@ -313,7 +318,7 @@ def _double_run(host: _Host, n: int, e1: Direction, e2: Direction) -> Occurrence
 
 
 def _pareto_insert(front: tuple[list[int], list[int], list], state: tuple) -> None:
-    # front: the states (a, b, parent) minimal in (a, b), as their first
+    # front: the states (a, b, parent, ps) minimal in (a, b), as their first
     # keys A rising, their second keys B falling and the states S.  A[:j]
     # holds the first keys <= a, the last with the least second key; from
     # A[i] on, the newcomer dominates every state while B >= b.
@@ -330,48 +335,14 @@ def _pareto_insert(front: tuple[list[int], list[int], list], state: tuple) -> No
     S[i:k] = (state,)
 
 
-def _pareto_merge(front: tuple[list[int], list[int], list], states: list) -> None:
-    # As _pareto_insert of each of ``states`` in turn, their first keys
-    # strictly rising: each lands after the one before, so the front from
-    # the first one's place on is copied once, in slices, and written back
-    # in one assignment per list.  least: the second key of the state
-    # before the one at pos in the merged front, above every key while
-    # there is none.
-    A, B, S = front
-    start = pos = bisect_left(A, states[0][0])
-    least = B[start - 1] if start else float("inf")
-    newA, newB, newS = [], [], []
-    end = len(B)
-    for state in states:
-        a, b = state[0], state[1]
-        j = bisect_right(A, a, pos)
-        if j > pos:
-            least = B[j - 1]
-        if least <= b:
-            continue
-        i = j - 1 if j > pos and A[j - 1] == a else j
-        if i > pos:
-            newA += A[pos:i]
-            newB += B[pos:i]
-            newS += S[pos:i]
-        k = i
-        while k < end and B[k] >= b:
-            k += 1
-        newA.append(a)
-        newB.append(b)
-        newS.append(state)
-        pos, least = k, b
-    A[start:pos] = newA
-    B[start:pos] = newB
-    S[start:pos] = newS
-
-
-def _grow(fronts: list, ps: list[int], firsts: range, sign: int, lo: int) -> list | None:
+def _grow(fronts: list, ps: list[int], firsts: range, lo: int | None) -> tuple | None:
     """Extend the chains in ``fronts`` (``fronts[L]`` over L+1 values) by a
-    value at the rising positions ``ps``: its first keys are ``sign *
-    ps[i]`` for i in ``firsts``, rising, and its second keys ``ps[lo:]``.
-    Returns the (first, second) keys of the first chain over
-    ``len(fronts) + 1`` values, its last value first, else None."""
+    value at the rising positions ``ps``, as states (first key, second
+    key, parent, ps): its first keys are ``ps[i]`` for i in ``firsts``,
+    rising.  Ascending, its second key is its next position after the
+    state's, from ``ps[lo:]``; nested (``lo`` None), minus its last one
+    before the state's -Q, from ``ps[i+1:]``.  Returns the first state
+    over ``len(fronts) + 1`` values, else None."""
     top = len(fronts) - 1
     if not fronts[0][0]:
         # No state yet: the longer fronts nest in this one, so all are empty.
@@ -380,7 +351,7 @@ def _grow(fronts: list, ps: list[int], firsts: range, sign: int, lo: int) -> lis
     last = [-1] * len(fronts)
     grown = []
     for i in firsts:
-        f = sign * ps[i]
+        f = ps[i]
         # Shortest first: each state of fronts[L+1] is dominated by one of
         # fronts[L], so a key that extends nothing here extends nothing
         # longer either.
@@ -394,16 +365,19 @@ def _grow(fronts: list, ps: list[int], firsts: range, sign: int, lo: int) -> lis
                 # A smaller key extended this state; f would grow it
                 # dominated.
                 continue
-            j = bisect_right(ps, B[at], lo)
-            if j == len(ps):
-                break
-            state = (f, ps[j], S[at])
+            if lo is None:
+                j = bisect_left(ps, -B[at], i + 1) - 1
+                if j == i:
+                    break
+                second = -ps[j]
+            else:
+                j = bisect_right(ps, B[at], lo)
+                if j == len(ps):
+                    break
+                second = ps[j]
+            state = (f, second, S[at], ps)
             if length == top:
-                keys = []
-                while state is not None:
-                    keys.append(state[:2])
-                    state = state[2]
-                return keys
+                return state
             last[length] = at
             grown.append((fronts[length + 1], state))
     # Every query has run, so no chain uses the value twice.
@@ -462,7 +436,7 @@ def _double_run_ascending(host: _Host, n: int, e: Direction) -> Occurrence | Non
                             tails.append(v)
                 if len(tails) < n:
                     continue
-            fronts = [([p0], [q0], [(p0, q0, None)])] + [([], [], []) for _ in range(n - 1)]
+            fronts = [([p0], [q0], [(p0, q0, None, ps0)])] + [([], [], []) for _ in range(n - 1)]
             for v in range(v0 + 1, len(occ)):
                 if last[v] < q0:
                     continue
@@ -472,10 +446,13 @@ def _double_run_ascending(host: _Host, n: int, e: Direction) -> Occurrence | Non
                 m = bisect_left(ps, q0, i)
                 if i == m:
                     continue
-                keys = _grow(fronts, ps, range(i, m), 1, m)
-                if keys is not None:
-                    keys.reverse()
-                    return tuple(p for p, _ in keys) + tuple(q for _, q in keys)
+                state = _grow(fronts, ps, range(i, m), m)
+                if state is not None:
+                    keys = []
+                    while state is not None:
+                        keys.append(state[:2])
+                        state = state[2]
+                    return tuple(p for p, _ in reversed(keys)) + tuple(q for _, q in reversed(keys))
     return None
 
 
@@ -529,39 +506,33 @@ def _chain_levels(host: _Host, e: Direction, w: list[int], last: list[int]) -> l
     return pair[e is Direction.REV]
 
 
-# A value with this many seeds or more merges them into the shortest
-# front in one pass; fewer are inserted one by one.  Timing the nested
-# search in-process on build(n, k).s at n = 3, 4, where each value has k
-# seeds (CPython 3.11, median of 11 alternating runs), merging took
-# 1.09-1.38x as long as inserting at 2 seeds, 0.96-1.01x at 3, 0.82-0.97x
-# at 4, 0.82-0.87x at 6 and 0.54-0.65x at 23.
-_MERGE_SEEDS_FROM = 4
-
-
 def _double_run_nested(occ: list[list[int]], n: int) -> Occurrence | None:
     fronts = [([], [], []) for _ in range(n)]
-    for ps in occ:
-        m = len(ps)
-        if m < 2:
+    for ps in reversed(occ):
+        if len(ps) < 2:
             continue
-        # The last occurrence cannot open a run, nor the first close one.
-        keys = _grow(fronts, ps, range(m - 2, -1, -1), -1, 1)
-        if keys is not None:
-            return tuple(-p for p, _ in keys) + tuple(q for _, q in reversed(keys))
-        # Seeded in falling i, the first keys rise, so each seed lands
-        # after this value's others; in rising i each would shift them
-        # all, m^2/2 moves on a word of one value m times.
-        if m > _MERGE_SEEDS_FROM:  # m - 1 seeds
-            _pareto_merge(fronts[0], [(-ps[i - 1], ps[i], None) for i in range(m - 1, 0, -1)])
-        else:
-            for i in range(m - 1, 0, -1):
-                _pareto_insert(fronts[0], (-ps[i - 1], ps[i], None))
+        # The last occurrence cannot open a run.
+        state = _grow(fronts, ps, range(len(ps) - 1), None)
+        if state is not None:
+            # Draw the chain tight around its innermost p: each value takes
+            # its positions nearest the ones inside it.  By induction each
+            # new p is no smaller and each new q no larger than the found
+            # ones, so every value still has such positions.
+            p, _, state, ps = state
+            firsts, seconds = [p], [ps[bisect_right(ps, p)]]
+            while state is not None:
+                _, _, state, ps = state
+                firsts.append(ps[bisect_left(ps, firsts[-1]) - 1])
+                seconds.append(ps[bisect_right(ps, seconds[-1])])
+            return tuple(reversed(firsts)) + tuple(seconds)
+        # Its widest pair dominates every other pair of it.
+        _pareto_insert(fronts[0], (ps[0], -ps[-1], None, ps))
     return None
 
 
 class _Kind(NamedTuple):
     name: Callable[[FamilyId], str]
-    directions: Callable[[FamilyId], tuple]  # the orientations its checker reads
+    reads: tuple[str, ...]  # which of e1, e2 and mult its checker reads
     pattern: Callable[[FamilyId], Word]
     find: Callable[[_Host, FamilyId], Occurrence | None]
 
@@ -570,19 +541,19 @@ class _Kind(NamedTuple):
 _KINDS = {
     "constant": _Kind(
         lambda fid: "Constant",
-        lambda fid: (),
+        (),
         lambda fid: constant_pattern(fid.k + 2),
         lambda host, fid: contains_constant(host, fid.k + 2),
     ),
     "doubled_monotone": _Kind(
         lambda fid: f"DoubledMonotone({fid.e1})",
-        lambda fid: (fid.e1,),
+        ("e1", "mult"),
         lambda fid: multiplied_monotone_pattern(fid.n, fid.mult, fid.e1),
         lambda host, fid: _multiplied_monotone(host, fid.n, fid.mult, fid.e1),
     ),
     "double_run": _Kind(
         lambda fid: f"DoubleRun({fid.e1},{fid.e2})",
-        lambda fid: (fid.e1, fid.e2),
+        ("e1", "e2"),
         lambda fid: double_run_pattern(fid.n, fid.e1, fid.e2),
         lambda host, fid: _double_run(host, fid.n, fid.e1, fid.e2),
     ),
@@ -602,8 +573,9 @@ def base_pattern(fid: FamilyId) -> Word:
 
 
 def contains_any_family(w, n: int, k: int) -> tuple[FamilyId, Occurrence] | None:
-    """First base-family member with an occurrence, in the fixed order."""
-    host = _Host(w)
+    """First base-family member with an occurrence, in the fixed order;
+    ``w`` is a word or a shared ``_Host``."""
+    host = _prepare(w)
     for fid, _ in _members(n, k, False):
         found = find_family_member(host, fid)
         if found is not None:

@@ -246,8 +246,8 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
         return False
     if n < 1 or k < 1 or fid.n != n or fid.k != k:
         return False
-    # Extraction finds base members only; a double run ignores its group
-    # size, so the pattern check below would not see another one.
+    # Extraction finds base members only: a balanced-family staircase
+    # would pass the pattern check below on its own occurrence.
     if fid.mult != 2:
         return False
     if not _ints(tr.occurrence):

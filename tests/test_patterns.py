@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from oracles import (
     brute_contains,
@@ -24,7 +24,6 @@ from wordpat.patterns import (
     Direction,
     _Host,
     _pareto_insert,
-    _pareto_merge,
     _rank_word,
     FamilyId,
     constant_pattern,
@@ -242,13 +241,18 @@ BAD_MEMBERS = [
     ("e2 a string", dict(e2="rev")),
     ("e1 None", dict(e1=None)),
     ("e2 None", dict(e2=None)),
+    ("double run with mult=3", dict(mult=3)),
+    ("constant with orientations", dict(kind="constant")),
+    ("constant with e1 junk", dict(kind="constant", e1="junk", e2=None)),
+    ("constant with mult=3", dict(kind="constant", e1=None, e2=None, mult=3)),
+    ("staircase with e2", dict(kind="doubled_monotone")),
 ]
 
 
 @pytest.mark.parametrize("changes", [c[1] for c in BAD_MEMBERS], ids=[c[0] for c in BAD_MEMBERS])
 def test_invalid_member_raises_when_made(changes):
     member = dict(kind="double_run", n=1, k=1, e1=ID, e2=REV, mult=2)
-    match = "unknown family member kind|need ints n >= 0, k >= 1 and mult >= 1|must be a Direction"
+    match = "unknown family member kind|need ints n >= 0, k >= 1 and mult >= 1|must be a Direction|reads no"
     with pytest.raises(ValueError, match=match):
         FamilyId(**{**member, **changes})
     with pytest.raises(ValueError, match=match):
@@ -465,7 +469,7 @@ OCCURRENCE_WORDS = [
     ),
     ("build(3,2).s", build(3, 2).s, 3),
 ]
-OCCURRENCE_DIGEST = "cc61ae2c5530a3f955a39d0fe1bc5b0bc0248f543a2c4b9689d5e8ccc03464e6"
+OCCURRENCE_DIGEST = "42922de0e7d1480981a37253690f73684b91e79a8f5fb40f791133dda7d387c2"
 
 
 def test_double_run_occurrences_match_the_pinned_digest():
@@ -492,22 +496,36 @@ def test_constant_answer_does_not_depend_on_the_checks_before_it(w, n):
         assert contains_constant(last, k + 2) == contains_constant(w, k + 2)
 
 
-@given(
-    st.lists(st.integers(2, 5), min_size=1, max_size=10).flatmap(
-        lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
-    ),
-    st.integers(min_value=0, max_value=3),
-)
-def test_ascending_double_runs_match_all_pairs_on_repeated_letters(w, n):
-    # At n = 0 each of the four shapes is two occurrences of one value.
-    w = tuple(w)
-    shapes = [(e1, e2) for e1 in DIRS for e2 in DIRS] if n == 0 else [(e, e) for e in DIRS]
-    for e1, e2 in shapes:
-        occ = contains_double_run(w, n, e1, e2)
-        ref = double_run_by_all_pairs(w, n, str(e1), str(e2))
-        assert (occ is None) == (ref is None), (e1, e2, occ, ref)
-        if occ is not None:
-            assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e1, e2))
+# Words of 2-5 copies of each value, where a value has several pairs.
+repeated_letters = st.lists(st.integers(2, 5), min_size=1, max_size=10).flatmap(
+    lambda counts: st.permutations([v for v, c in enumerate(counts) for _ in range(c)])
+).map(tuple)
+
+
+@given(repeated_letters, st.integers(min_value=0, max_value=3))
+def test_double_runs_match_all_pairs_on_repeated_letters(w, n):
+    for e1 in DIRS:
+        for e2 in DIRS:
+            occ = contains_double_run(w, n, e1, e2)
+            ref = double_run_by_all_pairs(w, n, str(e1), str(e2))
+            assert (occ is None) == (ref is None), (e1, e2, occ, ref)
+            if occ is not None:
+                assert standardise(subword(w, occ)) == standardise(double_run_pattern(n, e1, e2))
+
+
+@given(repeated_letters, st.integers(min_value=1, max_value=3), st.sampled_from(DIRS))
+def test_nested_occurrences_are_drawn_tight(w, n, e2):
+    # p_n < ... < p_0 < q_0 < ... < q_n: the innermost value does not
+    # recur between p_0 and q_0, and no outer value recurs between its
+    # p and the next inner p, nor between the next inner q and its q.
+    occ = contains_double_run(w, n, e2.flip(), e2)
+    if occ is None:
+        return
+    firsts, seconds = occ[n::-1], occ[n + 1 :]
+    assert w[firsts[0] - 1] not in w[firsts[0] : seconds[0] - 1], occ
+    for t in range(1, n + 1):
+        between = w[firsts[t] : firsts[t - 1] - 1] + w[seconds[t - 1] : seconds[t] - 1]
+        assert w[firsts[t] - 1] not in between, (occ, t)
 
 
 def _library_crossings(w, e):
@@ -895,25 +913,25 @@ def test_staircase_checker_matches_all_groups_reference(w, n, mult):
                 assert standardise(subword(w, found)) == pattern
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "w, n", [((7,) * 300, 1), ((7,) * 300, 2), (build(2, 1).s, 2)], ids=["7x300 n=1", "7x300 n=2", "build(2,1).s"]
+)
 @pytest.mark.parametrize("e2", DIRS)
-def test_nested_seeds_of_one_value_enter_the_front_in_one_merge(monkeypatch, n, e2):
-    # One insert per seed would shift the front on every seed; one value
-    # 300 times seeds its 299 states in one merge and inserts none alone.
-    merged = []
-    merge = patterns._pareto_merge
+def test_nested_search_seeds_each_value_once(monkeypatch, w, n, e2):
+    # A value's widest pair dominates its others, so each value enters
+    # the front as one state, not one per adjacent pair.
+    seeds = []
+    insert = patterns._pareto_insert
 
-    def counting_merge(front, states):
-        merged.append(len(states))
-        merge(front, states)
+    def counting_insert(front, state):
+        if state[2] is None:
+            seeds.append(state[:2])
+        insert(front, state)
 
-    def no_insert(front, state):
-        raise AssertionError(f"{state} inserted on its own")
-
-    monkeypatch.setattr(patterns, "_pareto_merge", counting_merge)
-    monkeypatch.setattr(patterns, "_pareto_insert", no_insert)
-    assert contains_double_run((7,) * 300, n, e2.flip(), e2) is None
-    assert merged == [299]
+    monkeypatch.setattr(patterns, "_pareto_insert", counting_insert)
+    assert contains_double_run(w, n, e2.flip(), e2) is None
+    widest = [(ps[0], -ps[-1]) for ps in occurrences_by_value(w).values() if len(ps) > 1]
+    assert sorted(seeds) == sorted(widest)
 
 
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30))
@@ -927,34 +945,6 @@ def test_pareto_front_keeps_exactly_the_minimal_states(points):
     A, B, S = front
     assert list(zip(A, B)) == sorted(minimal)
     assert [state[:2] for state in S] == list(zip(A, B))
-
-
-# Keys from a narrow range, so the batch often ties the front's first
-# keys and repeats whole states; batches run well past the cut-off.
-_merge_keys = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
-
-
-@given(
-    st.lists(_merge_keys, max_size=40),
-    st.lists(
-        _merge_keys, min_size=1, max_size=6 * patterns._MERGE_SEEDS_FROM, unique_by=lambda t: t[0]
-    ).map(sorted),
-)
-@example(points=[], batch=[(0, 3), (1, 2), (2, 5), (3, 1)])
-@example(points=[(0, 3), (2, 1)], batch=[(0, 3), (1, 2), (2, 1), (3, 0)])
-def test_pareto_merge_leaves_the_front_as_inserting_each_state(points, batch):
-    # The same state objects in the same order: an exact tie keeps the
-    # state that came first.
-    front = ([], [], [])
-    for a, b in points:
-        _pareto_insert(front, (a, b, None))
-    merged = tuple(list(keys) for keys in front)
-    states = [(a, b, None) for a, b in batch]
-    for state in states:
-        _pareto_insert(front, state)
-    _pareto_merge(merged, states)
-    assert merged[:2] == front[:2]
-    assert [id(state) for state in merged[2]] == [id(state) for state in front[2]]
 
 
 def _assert_fronts_nest(fronts):
@@ -1047,6 +1037,16 @@ def test_consecutive_raw_checks_of_one_tuple_index_it_once(monkeypatch, w, n):
         contains_multiplied_monotone(w, n, 2, e1)
         for e2 in DIRS:
             contains_double_run(w, n, e1, e2)
+    assert counts["index"] == 1
+
+
+@pytest.mark.parametrize("w, n, k", [((0, 1, 0, 1), 1, 1), (build(2, 1).s, 2, 1), ((0, 0, 0), 1, 1)])
+def test_contains_any_family_takes_a_host_and_shares_the_raw_slot(monkeypatch, w, n, k):
+    assert contains_any_family(_Host(w), n, k) == contains_any_family(w, n, k)
+    counts = _count_indexing(monkeypatch)
+    found = contains_any_family(w, n, k)
+    fid = found[0] if found else FamilyId("constant", n, k)
+    assert find_family_member(w, fid) == (found[1] if found else None)
     assert counts["index"] == 1
 
 

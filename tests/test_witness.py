@@ -402,8 +402,8 @@ REJECTIONS = [
                      occurrence=(5, 6, 7, 8), block_picks=(0,), block_start=None, repeat_occ=None,
                      repeat_monotone_occ=None, firsts_match_occ=None),
      "if second_of[core_vals[i]] >= first_of[core_vals[t * n * n]]:"),
-    # A double run does not read its group size, so its pattern is still 0101.
-    ("member with another group size", DR_WORD, lambda tr: dict(family=replace(tr.family, mult=3)),
+    # Only a staircase reads its group size; the base family's is 2.
+    ("member with another group size", DM_WORD, lambda tr: dict(family=replace(tr.family, mult=3)),
      "if fid.mult != 2:"),
     ("member named by a string", DR_WORD, lambda tr: dict(family="DoubleRun(id,id)"),
      "if not isinstance(fid, FamilyId):"),
