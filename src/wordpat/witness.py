@@ -10,7 +10,7 @@ following the constructive argument rather than by searching:
    times and at least n^6 + 1 distinct values occur twice or more;
 2. keep the first n^6 + 1 such values in first-occurrence order and
    restrict to the first two occurrences of each (the doubled word,
-   read from its sorted positions with no position dict);
+   read off marks at those positions, with no sort or position dict);
 3. the first-occurrence subword has length n^6 + 1, so it has a strict
    monotone core of length n^3 + 1;
 4. cut the core into n blocks of n^2 + 1 values; a block whose second
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import compress
 
 from .guards import check_nk
 from .monotone import NONDECREASING, es_extract
@@ -119,12 +120,17 @@ def extract_witness(w, n: int, k: int) -> tuple[FamilyId, Occurrence, WitnessTra
     if len(repeated) < need:
         raise InvariantViolation("repeat arithmetic violated")
     chosen = tuple(repeated[:need])
-    firsts = [occ[v][0] for v in chosen]
-
-    doubled_occ = tuple(sorted(firsts + [occ[v][1] for v in chosen]))
-    doubled = tuple([w[x - 1] for x in doubled_occ])
-    first_set = set(firsts)
-    firsts_occ = tuple([i for i, x in enumerate(doubled_occ, 1) if x in first_set])
+    # Mark each chosen value's first occurrence 1 and its second 2: the
+    # marked letters are the doubled word, and their marks tell its firsts.
+    mark = bytearray(len(w) + 1)  # by 1-based position
+    for v in chosen:
+        ps = occ[v]
+        mark[ps[0]] = 1
+        mark[ps[1]] = 2
+    doubled_occ = tuple(compress(range(len(mark)), mark))
+    doubled = tuple(compress(w, mark[1:]))
+    is_first = mark.replace(b"\0", b"").replace(b"\2", b"\0")
+    firsts_occ = tuple(compress(range(1, len(is_first) + 1), is_first))
 
     half = n**3
     direction, core_idx = es_extract(chosen, half, half)
@@ -265,22 +271,28 @@ def _validate(w: Word, tr: WitnessTrace) -> bool:
     chosen = tr.chosen_values
     if not _ints(chosen) or len(chosen) != need or len(set(chosen)) != need:
         return False
-    if any(len(occ.get(v, [])) < 2 for v in chosen):
+    # Marks of its own: 1 at each chosen value's first occurrence, 2 at
+    # its second.  The values are distinct, so their firsts rise exactly
+    # when the marked firsts, read in word order, spell them.
+    marks = bytearray(len(w) + 1)  # by 1-based position
+    for v in chosen:
+        ps = occ.get(v, ())
+        if len(ps) < 2:
+            return False
+        marks[ps[0]] = 1
+        marks[ps[1]] = 2
+    dw = tuple(compress(range(len(marks)), marks))
+    doubled = tuple(compress(w, marks[1:]))
+    firsts = marks.replace(b"\0", b"").replace(b"\2", b"\0")
+    if tuple(compress(doubled, firsts)) != chosen:
         return False
-    firsts = [occ[v][0] for v in chosen]
-    if firsts != sorted(firsts):
-        return False
-
-    dw = tuple(sorted(firsts + [occ[v][1] for v in chosen]))
     if tr.doubled_occ != dw:
         return False
     # Positions from the index lie in the word and rise.  From here on
     # a field equal to its replayed value is read as that value.
-    doubled = tuple([w[x - 1] for x in dw])
     if tr.doubled_word != doubled:
         return False
-    first_set = set(firsts)
-    if tr.firsts_occ != tuple([i for i, x in enumerate(dw, 1) if x in first_set]):
+    if tr.firsts_occ != tuple(compress(range(1, len(firsts) + 1), firsts)):
         return False
 
     if not _ints(tr.monotone_occ) or len(tr.monotone_occ) != n**3 + 1:
