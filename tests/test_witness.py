@@ -238,7 +238,7 @@ def test_extraction_and_validation_call_the_traced_names(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(witness, name, counted)
-    _, _, trace = extract_witness((0, 0, 0), 1, 1)
+    extract_witness((0, 0, 0), 1, 1)
     assert calls == {"occurrences_by_value": 1, "contains_constant": 1}
     for branch in ("double_run", "doubled_monotone"):
         w, trace = _first_trace_with_branch(2, 1, branch)
